@@ -40,6 +40,7 @@ inline const std::vector<std::uint32_t> kSweepN = {4, 7, 10, 13, 16};
 ///                   bullshark | both naming the personality under test
 ///                   (bench_realtime_throughput; both always run so the
 ///                   comparison and its JSON artifact carry both rows)
+///   --help          print this usage and exit 0 without running anything
 struct BenchArgs {
   std::string json_path;
   std::string wal_dir;
@@ -51,14 +52,38 @@ struct BenchArgs {
   std::string ordering;  ///< empty = no ordering comparison requested
 };
 
+inline void print_bench_usage(std::FILE* to, const char* prog) {
+  std::fprintf(to,
+               "usage: %s [--smoke] [--json <path>] [--wal <dir>] [--restart]\n"
+               "          [--chaos [seed]] [--ingress]\n"
+               "          [--ordering dagrider|bullshark|both] [--help]\n",
+               prog);
+}
+
+/// Rejects an unknown flag or a flag missing its value with usage on stderr
+/// and exit 2; --help prints usage and exits 0 without running the bench.
 inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs out;
+  auto fail = [&](const std::string& why) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());
+    print_bench_usage(stderr, argv[0]);
+    std::exit(2);
+  };
+  auto value_of = [&](int& i) -> std::string {
+    if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+      fail(std::string(argv[i]) + " needs a value");
+    }
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      out.json_path = argv[++i];
-    } else if (a == "--wal" && i + 1 < argc) {
-      out.wal_dir = argv[++i];
+    if (a == "--help" || a == "-h") {
+      print_bench_usage(stdout, argv[0]);
+      std::exit(0);
+    } else if (a == "--json") {
+      out.json_path = value_of(i);
+    } else if (a == "--wal") {
+      out.wal_dir = value_of(i);
     } else if (a == "--restart") {
       out.restart = true;
     } else if (a == "--smoke") {
@@ -70,8 +95,10 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       }
     } else if (a == "--ingress") {
       out.ingress = true;
-    } else if (a == "--ordering" && i + 1 < argc) {
-      out.ordering = argv[++i];
+    } else if (a == "--ordering") {
+      out.ordering = value_of(i);
+    } else {
+      fail("unknown flag " + a);
     }
   }
   return out;

@@ -91,14 +91,14 @@ bool run_one(const Args& args, std::uint64_t seed, std::uint32_t n) {
   // (when durable), and every live Byzantine profile.
   if (!opts.wal_dir.empty() && seed % 3 == 1) opts.with_churn = true;
   switch (seed % 4) {
-    case 1: opts.byzantine = dr::node::ByzantineProfile::kEquivocate; break;
-    case 2: opts.byzantine = dr::node::ByzantineProfile::kMute; break;
-    case 3: opts.byzantine = dr::node::ByzantineProfile::kSelective; break;
+    case 1: opts.byzantine = dr::core::ByzantineProfile::kEquivocate; break;
+    case 2: opts.byzantine = dr::core::ByzantineProfile::kMute; break;
+    case 3: opts.byzantine = dr::core::ByzantineProfile::kSelective; break;
     default: break;  // seed % 4 == 0: all honest
   }
   // A Byzantine node and churn at once would leave only f honest-and-up
   // nodes short of quorum windows; keep the two flavours separate.
-  if (opts.with_churn) opts.byzantine = dr::node::ByzantineProfile::kHonest;
+  if (opts.with_churn) opts.byzantine = dr::core::ByzantineProfile::kHonest;
   if (args.ingress) {
     opts.with_ingress = true;
     opts.ingress_clients = args.smoke ? 500 : 2'000;

@@ -2,6 +2,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "core/replica.hpp"
 
 namespace dr::baselines {
 
@@ -85,8 +86,8 @@ SmrSystem::SmrSystem(SmrSystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed
                                                cfg_.committee);
   for (ProcessId pid : cfg_.crashed) net_->crash(pid);
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    coins_.push_back(std::make_unique<coin::ThresholdCoin>(
-        *net_, coin::ProcessCoinKey(dealer_.get(), pid)));
+    coins_.push_back(core::make_coin(core::CoinMode::kThreshold, *net_, pid,
+                                     dealer_.get(), cfg_.seed));
     nodes_.push_back(std::make_unique<SlotSmrNode>(
         *net_, pid, *coins_.back(), cfg_.backend, cfg_.window, cfg_.batch_size,
         cfg_.seed, sim_));

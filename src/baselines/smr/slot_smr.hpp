@@ -14,7 +14,7 @@
 #include "baselines/dumbo/dumbo.hpp"
 #include "baselines/vaba/vaba.hpp"
 #include "coin/dealer.hpp"
-#include "coin/threshold_coin.hpp"
+#include "coin/coin.hpp"
 #include "crypto/sha256.hpp"
 #include "sim/adversary.hpp"
 #include "sim/simulator.hpp"
@@ -102,7 +102,7 @@ class SmrSystem {
   sim::Simulator sim_;
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<coin::CoinDealer> dealer_;
-  std::vector<std::unique_ptr<coin::ThresholdCoin>> coins_;
+  std::vector<std::unique_ptr<coin::Coin>> coins_;
   std::vector<std::unique_ptr<SlotSmrNode>> nodes_;
 };
 

@@ -4,81 +4,36 @@
 
 #include "common/assert.hpp"
 #include "core/audit.hpp"
-#include "core/byzantine.hpp"
 
 namespace dr::core {
 
 Node::Node(sim::Network& net, ProcessId pid, const SystemConfig& cfg,
-           const coin::CoinDealer* dealer, std::uint64_t node_seed,
-           sim::Simulator& sim) {
-  const FaultKind fault =
-      pid < cfg.faults.size() ? cfg.faults[pid] : FaultKind::kNone;
-
-  if (fault == FaultKind::kEquivocate) {
-    DR_ASSERT_MSG(cfg.rbc_kind == rbc::RbcKind::kBracha,
-                  "equivocation attack is implemented for Bracha RBC");
-    rbc_ = std::make_unique<EquivocatingBrachaRbc>(net, pid);
-  } else {
-    rbc_ = rbc::make_factory(cfg.rbc_kind, cfg.gossip)(net, pid, cfg.seed);
-  }
-
-  coin::ThresholdCoin* threshold_coin = nullptr;
-  switch (cfg.coin_mode) {
-    case CoinMode::kLocal:
-      coin_ = std::make_unique<coin::LocalCoin>(cfg.seed ^ 0xC0111ULL,
-                                                cfg.committee.n);
-      break;
-    case CoinMode::kThreshold:
-    case CoinMode::kPiggyback: {
-      auto tc = std::make_unique<coin::ThresholdCoin>(
-          net, coin::ProcessCoinKey(dealer, pid),
-          /*broadcast_shares=*/cfg.coin_mode == CoinMode::kThreshold);
-      threshold_coin = tc.get();
-      coin_ = std::move(tc);
-      break;
-    }
-  }
-
-  builder_ = std::make_unique<dag::DagBuilder>(cfg.committee, pid, *rbc_,
-                                               cfg.builder);
-  if (cfg.coin_mode == CoinMode::kPiggyback) {
-    builder_->enable_coin_piggyback(
-        [threshold_coin](Wave w) { return threshold_coin->share_to_embed(w); },
-        [threshold_coin](ProcessId from, Wave w, std::uint64_t y) {
-          threshold_coin->ingest_share(from, w, y);
-        });
-  }
-  rider_ = make_ordering(cfg.ordering, *builder_, *coin_, cfg.bullshark);
-  if (cfg.gc_depth_rounds > 0) rider_->enable_gc(cfg.gc_depth_rounds);
-  rider_->set_deliver([this, &sim](const Bytes& block,
-                                   const crypto::Digest& block_digest, Round r,
-                                   ProcessId src) {
+           const coin::CoinDealer* dealer, sim::Simulator& sim)
+    : replica_(net, pid, cfg, dealer,
+               cfg.faults[pid] == FaultKind::kEquivocate
+                   ? ByzantineProfile::kEquivocate
+                   : ByzantineProfile::kHonest) {
+  replica_.rider().set_deliver([this, &sim](const Bytes& block,
+                                            const crypto::Digest& block_digest,
+                                            Round r, ProcessId src) {
     delivered_.push_back(
         DeliveredRecord{block_digest, block.size(), r, src, sim.now()});
     if (app_deliver_) app_deliver_(block, r, src);
   });
-  rider_->set_commit_observer(
+  replica_.rider().set_commit_observer(
       [this, &sim](Wave w, dag::VertexId leader, bool direct) {
         commits_.push_back(CommitRecord{w, leader, direct, sim.now()});
       });
-  (void)node_seed;
 }
 
 System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
   DR_ASSERT_MSG(cfg_.committee.valid(), "System: committee must satisfy n > 3f");
-  // The personality owns the wave geometry: Bullshark's commit rule is
-  // defined over 2-round waves, so its choice overrides the builder knob.
-  if (const Round rpw = ordering_rounds_per_wave(cfg_.ordering)) {
-    cfg_.builder.rounds_per_wave = rpw;
-  }
   if (!cfg_.delays) {
     cfg_.delays = std::make_unique<sim::UniformDelay>(1, 100);
   }
   net_ = std::make_unique<sim::Network>(sim_, cfg_.committee,
                                         std::move(cfg_.delays));
-  faults_ = cfg_.faults;
-  faults_.resize(cfg_.committee.n, FaultKind::kNone);
-  cfg_.faults = faults_;
+  cfg_.faults.resize(cfg_.committee.n, FaultKind::kNone);
 
   dealer_ = std::make_unique<coin::CoinDealer>(cfg_.seed ^ coin::kDealerSeedTweak,
                                                cfg_.committee);
@@ -87,18 +42,17 @@ System::System(SystemConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed) {
   // process entirely; silent/equivocating processes count as corrupted for
   // the adversary budget and the honest-bytes accounting.
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    if (faults_[pid] == FaultKind::kCrash) {
+    if (cfg_.faults[pid] == FaultKind::kCrash) {
       net_->crash(pid);
-    } else if (faults_[pid] != FaultKind::kNone) {
+    } else if (cfg_.faults[pid] != FaultKind::kNone) {
       net_->corrupt(pid);
     }
   }
 
-  Xoshiro256 seeder(cfg_.seed ^ 0x5EEDULL);
   nodes_.reserve(cfg_.committee.n);
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
-    nodes_.push_back(std::make_unique<Node>(*net_, pid, cfg_, dealer_.get(),
-                                            seeder(), sim_));
+    nodes_.push_back(
+        std::make_unique<Node>(*net_, pid, cfg_, dealer_.get(), sim_));
   }
 }
 
@@ -108,7 +62,8 @@ void System::start() {
   for (ProcessId pid = 0; pid < cfg_.committee.n; ++pid) {
     // Crashed processes never run; silent ones only service others' RBC
     // instances (their components are wired but propose nothing).
-    if (faults_[pid] == FaultKind::kCrash || faults_[pid] == FaultKind::kSilent) {
+    if (cfg_.faults[pid] == FaultKind::kCrash ||
+        cfg_.faults[pid] == FaultKind::kSilent) {
       continue;
     }
     nodes_[pid]->builder().start();

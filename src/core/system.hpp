@@ -1,80 +1,62 @@
-// System harness: assembles n DAG-Rider processes (reliable broadcast +
-// threshold coin + DAG builder + ordering layer) on the simulated network,
-// injects faults, and exposes delivered logs. This is the top-level entry
-// point a library user instantiates; every test, bench, and example builds
-// on it.
+// System harness: runs n DAG-Rider processes (one core::Replica each) on
+// the simulated network, injects faults, and exposes delivered logs. This is
+// the top-level entry point a library user instantiates; every test, bench,
+// and example builds on it.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "coin/coin.hpp"
 #include "coin/dealer.hpp"
-#include "coin/threshold_coin.hpp"
-#include "core/ordering.hpp"
 #include "core/records.hpp"
+#include "core/replica.hpp"
 #include "crypto/sha256.hpp"
-#include "rbc/factory.hpp"
 #include "sim/adversary.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace dr::core {
 
-enum class CoinMode {
-  kLocal,      ///< perfect-coin oracle (unit/experiment isolation)
-  kThreshold,  ///< threshold coin, shares broadcast on the coin channel
-  kPiggyback,  ///< threshold coin, shares embedded in DAG vertices (fn. 1)
-};
-
 enum class FaultKind {
   kNone,
   kCrash,       ///< sends and receives nothing, ever
   kSilent,      ///< participates in others' broadcasts but proposes nothing
-  kEquivocate,  ///< proposes conflicting vertices to different halves
-                ///< (Bracha RBC only; reliable broadcast must defuse it)
+  kEquivocate,  ///< ByzantineProfile::kEquivocate: conflicting vertices to
+                ///< different halves (Bracha RBC only; RBC must defuse it)
   kStealthy,    ///< behaves exactly like a correct process but counts as
                 ///< Byzantine — the chain-quality worst case, where the
                 ///< adversary's processes participate fully to claim as
                 ///< many slots of every ordered prefix as possible
 };
 
-struct SystemConfig {
+/// Protocol knobs come from ReplicaOptions (threshold coin, auto blocks of
+/// 64 bytes by default); the rest shapes the simulated world.
+struct SystemConfig : ReplicaOptions {
+  SystemConfig()
+      : ReplicaOptions{.builder = {.auto_blocks = true,
+                                   .auto_block_size = 64}} {}
+
   Committee committee = Committee::for_f(1);
-  std::uint64_t seed = 1;
-  rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
-  rbc::GossipParams gossip;
-  CoinMode coin_mode = CoinMode::kThreshold;
-  /// Which commit rule orders the DAG (DESIGN.md §14). kBullshark forces
-  /// builder.rounds_per_wave to 2 (its wave geometry).
-  OrderingKind ordering = OrderingKind::kDagRider;
-  BullsharkOptions bullshark{};
-  /// Rounds per wave / weak-edge ablation knobs.
-  dag::BuilderOptions builder{.auto_blocks = true, .auto_block_size = 64};
-  /// DAG garbage-collection window in rounds; 0 disables GC (the paper's
-  /// unbounded semantics). See DagRider::enable_gc for the trade-off.
-  Round gc_depth_rounds = 0;
   /// Delay model; nullptr -> UniformDelay(1, 100).
   std::unique_ptr<sim::DelayModel> delays;
   /// fault[pid] (missing entries default kNone). At most f non-kNone.
   std::vector<FaultKind> faults;
 };
 
-/// The full protocol stack of a single process. DeliveredRecord /
-/// CommitRecord now live in core/records.hpp, shared with the
-/// real-concurrency runtime (node::Node) and the auditors in core/audit.hpp.
-
+/// One simulated process: a core::Replica plus sim-time-stamped delivery
+/// and commit logs. DeliveredRecord / CommitRecord live in core/records.hpp,
+/// shared with the threaded runtime (node::Node) and core/audit.hpp.
 class Node {
  public:
   Node(sim::Network& net, ProcessId pid, const SystemConfig& cfg,
-       const coin::CoinDealer* dealer, std::uint64_t node_seed,
-       sim::Simulator& sim);
+       const coin::CoinDealer* dealer, sim::Simulator& sim);
 
-  dag::DagBuilder& builder() { return *builder_; }
-  OrderingRule& rider() { return *rider_; }
-  rbc::ReliableBroadcast& rbc() { return *rbc_; }
-  coin::Coin& coin() { return *coin_; }
+  Replica& replica() { return replica_; }
+  const Replica& replica() const { return replica_; }
+  dag::DagBuilder& builder() { return replica_.builder(); }
+  OrderingRule& rider() { return replica_.rider(); }
+  coin::Coin& coin() { return replica_.coin(); }
 
   const std::vector<DeliveredRecord>& delivered() const { return delivered_; }
   const std::vector<CommitRecord>& commits() const { return commits_; }
@@ -86,10 +68,7 @@ class Node {
   void set_app_deliver(AppDeliverFn fn) { app_deliver_ = std::move(fn); }
 
  private:
-  std::unique_ptr<rbc::ReliableBroadcast> rbc_;
-  std::unique_ptr<coin::Coin> coin_;
-  std::unique_ptr<dag::DagBuilder> builder_;
-  std::unique_ptr<OrderingRule> rider_;
+  Replica replica_;
   std::vector<DeliveredRecord> delivered_;
   std::vector<CommitRecord> commits_;
   AppDeliverFn app_deliver_;
@@ -109,7 +88,7 @@ class System {
   std::uint32_t n() const { return cfg_.committee.n; }
 
   bool is_correct(ProcessId pid) const {
-    return faults_[pid] == FaultKind::kNone;
+    return cfg_.faults[pid] == FaultKind::kNone;
   }
   std::vector<ProcessId> correct_ids() const;
   Node& node(ProcessId pid) { return *nodes_[pid]; }
@@ -126,7 +105,6 @@ class System {
   sim::Simulator sim_;
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<coin::CoinDealer> dealer_;
-  std::vector<FaultKind> faults_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

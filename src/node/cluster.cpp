@@ -77,7 +77,7 @@ void Cluster::stop_node(ProcessId pid) {
   nodes_[pid]->stop();
 }
 
-void Cluster::set_profile(ProcessId pid, ByzantineProfile profile) {
+void Cluster::set_profile(ProcessId pid, core::ByzantineProfile profile) {
   DR_ASSERT(pid < committee_.n);
   if (tweaks_.profiles.empty()) {
     tweaks_.profiles.assign(committee_.n, opts_.byzantine);

@@ -27,7 +27,7 @@ struct ClusterTweaks {
   using TransportWrap = std::function<std::unique_ptr<net::Transport>(
       ProcessId pid, std::unique_ptr<net::Transport> inner)>;
   TransportWrap transport_wrap;
-  std::vector<ByzantineProfile> profiles;  ///< empty = all honest
+  std::vector<core::ByzantineProfile> profiles;  ///< empty = all honest
   /// Node-to-node links over loopback TCP (net::TcpTransport) instead of the
   /// shared-memory transport — the configuration the ingress bench drives so
   /// client traffic and protocol traffic share a real network stack.
@@ -54,7 +54,7 @@ class Cluster {
   /// a kMute node that crash-stops and comes back honest, the shape of the
   /// ingress at-least-once regression. Takes effect at the next
   /// restart_node(pid); the running instance is untouched.
-  void set_profile(ProcessId pid, ByzantineProfile profile);
+  void set_profile(ProcessId pid, core::ByzantineProfile profile);
   /// Replaces a stopped node with a fresh Node on the same endpoint slot and
   /// (when the cluster was built with a wal_dir) the same data directory —
   /// the restarted node recovers from its WAL, then catch-up sync fills the

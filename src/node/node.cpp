@@ -13,62 +13,13 @@ Node::Node(std::unique_ptr<net::Transport> transport,
       transport_(std::move(transport)),
       inbox_(opts_.inbox_capacity),
       bus_(*transport_),
+      replica_(bus_, transport_->pid(), opts_, dealer, opts_.byzantine),
       mempool_(opts_.mempool),
       epoch_(std::chrono::steady_clock::now()) {
   const ProcessId my_pid = transport_->pid();
-
-  // The personality owns the wave geometry: Bullshark's commit rule is
-  // defined over 2-round waves, so its choice overrides the builder knob.
-  if (const Round rpw = core::ordering_rounds_per_wave(opts_.ordering)) {
-    opts_.builder.rounds_per_wave = rpw;
-  }
-
-  rbc_ = rbc::make_factory(opts_.rbc_kind)(bus_, my_pid, opts_.seed);
-  if (opts_.byzantine != ByzantineProfile::kHonest) {
-    DR_ASSERT_MSG(opts_.byzantine == ByzantineProfile::kMute ||
-                      opts_.rbc_kind == rbc::RbcKind::kBracha,
-                  "crafted-SEND Byzantine profiles speak Bracha's wire format");
-    auto byz = make_byzantine_rbc(opts_.byzantine, bus_, my_pid,
-                                  std::move(rbc_));
-    byz_ = byz.get();
-    rbc_ = std::move(byz);
-  }
-
-  coin::ThresholdCoin* threshold_coin = nullptr;
-  switch (opts_.coin_mode) {
-    case CoinMode::kLocal:
-      coin_ = std::make_unique<coin::LocalCoin>(opts_.seed ^ 0xC0111ULL,
-                                                committee().n);
-      break;
-    case CoinMode::kThreshold:
-    case CoinMode::kPiggyback: {
-      DR_ASSERT_MSG(dealer != nullptr,
-                    "threshold coin modes need the trusted dealer setup");
-      auto tc = std::make_unique<coin::ThresholdCoin>(
-          bus_, coin::ProcessCoinKey(dealer, my_pid),
-          /*broadcast_shares=*/opts_.coin_mode == CoinMode::kThreshold);
-      threshold_coin = tc.get();
-      coin_ = std::move(tc);
-      break;
-    }
-  }
-
-  builder_ = std::make_unique<dag::DagBuilder>(committee(), my_pid, *rbc_,
-                                               opts_.builder);
-  if (opts_.coin_mode == CoinMode::kPiggyback) {
-    builder_->enable_coin_piggyback(
-        [threshold_coin](Wave w) { return threshold_coin->share_to_embed(w); },
-        [threshold_coin](ProcessId from, Wave w, std::uint64_t y) {
-          threshold_coin->ingest_share(from, w, y);
-        });
-  }
-  rider_ = core::make_ordering(opts_.ordering, *builder_, *coin_,
-                               opts_.bullshark);
-  if (opts_.gc_depth_rounds > 0) rider_->enable_gc(opts_.gc_depth_rounds);
-
-  rider_->set_deliver([this](const Bytes& block,
-                             const crypto::Digest& block_digest, Round r,
-                             ProcessId src) {
+  replica_.rider().set_deliver([this](const Bytes& block,
+                                      const crypto::Digest& block_digest,
+                                      Round r, ProcessId src) {
     const std::uint64_t t = now_us();
     {
       std::lock_guard<std::mutex> lk(log_mu_);
@@ -88,10 +39,11 @@ Node::Node(std::unique_ptr<net::Transport> transport,
     }
     if (app_deliver_) app_deliver_(block, r, src, t);
   });
-  rider_->set_commit_observer([this](Wave w, dag::VertexId leader, bool direct) {
-    std::lock_guard<std::mutex> lk(log_mu_);
-    commits_.push_back(core::CommitRecord{w, leader, direct, now_us()});
-  });
+  replica_.rider().set_commit_observer(
+      [this](Wave w, dag::VertexId leader, bool direct) {
+        std::lock_guard<std::mutex> lk(log_mu_);
+        commits_.push_back(core::CommitRecord{w, leader, direct, now_us()});
+      });
 
   // a_bcast path: blocks ride the inbox as kApp frames from this node to
   // itself, so proposals enter the builder on the node thread like any
@@ -99,7 +51,7 @@ Node::Node(std::unique_ptr<net::Transport> transport,
   bus_.subscribe(my_pid, net::Channel::kApp,
                  [this](ProcessId from, const net::Payload& block) {
                    if (from != pid()) return;  // kApp is loopback-only
-                   rider_->a_bcast(block.to_bytes());
+                   replica_.rider().a_bcast(block.to_bytes());
                  });
 
   if (!opts_.wal_dir.empty()) {
@@ -107,7 +59,7 @@ Node::Node(std::unique_ptr<net::Transport> transport,
         committee(), my_pid,
         storage::StoreOptions{opts_.wal_dir, opts_.wal_fsync});
   }
-  catchup_ = std::make_unique<CatchupSync>(bus_, my_pid, *builder_,
+  catchup_ = std::make_unique<CatchupSync>(bus_, my_pid, replica_.builder(),
                                            opts_.catchup);
   last_heard_us_.assign(committee().n, 0);
   if (opts_.ingress_enable) {
@@ -141,15 +93,15 @@ void Node::loop() {
     recover_from_store();
     // Persistence hooks go in AFTER replay: replayed vertices are already in
     // the WAL, and re-appending them would double the file every restart.
-    builder_->set_vertex_added(
+    replica_.builder().set_vertex_added(
         [this](const dag::Vertex& v) { store_->append_vertex(v); });
-    builder_->set_proposal_log(
+    replica_.builder().set_proposal_log(
         [this](Round r, BytesView payload) {
           store_->append_proposal(r, payload);
           proposals_logged_.fetch_add(1, std::memory_order_relaxed);
         });
   }
-  builder_->start();
+  replica_.builder().start();
   std::vector<net::Frame> batch;
   while (running_.load(std::memory_order_acquire)) {
     batch.clear();
@@ -183,10 +135,10 @@ void Node::refresh_gc_floor_cap(std::uint64_t now) {
   for (ProcessId p = 0; p < committee().n; ++p) {
     if (p == pid()) continue;
     if (last_heard_us_[p] + opts_.gc_peer_liveness_us < now) continue;
-    const Round r = builder_->highest_round_from(p);
+    const Round r = replica_.builder().highest_round_from(p);
     cap = std::min(cap, r > margin ? r - margin : Round{0});
   }
-  builder_->set_gc_floor_cap(cap);
+  replica_.builder().set_gc_floor_cap(cap);
 }
 
 void Node::recover_from_store() {
@@ -197,7 +149,8 @@ void Node::recover_from_store() {
     // Wave numbering and the commit rule differ between personalities; a
     // log written under one must not seed the other (DESIGN.md §14).
     DR_ASSERT_MSG(snap.ordering == static_cast<std::uint8_t>(opts_.ordering) &&
-                      snap.rounds_per_wave == opts_.builder.rounds_per_wave,
+                      snap.rounds_per_wave ==
+                          replica_.builder().options().rounds_per_wave,
                   "snapshot written under a different ordering personality");
     floor = snap.gc_floor;
     std::vector<dag::VertexId> delivered_ids;
@@ -215,7 +168,7 @@ void Node::recover_from_store() {
       commits_ = snap.commits;
     }
     delivered_count_.store(snap.delivered.size(), std::memory_order_release);
-    rider_->restore(snap.decided_wave, snap.delivered.size(), delivered_ids);
+    replica_.rider().restore(snap.decided_wave, snap.delivered.size(), delivered_ids);
   }
   if (!rec.snapshot.has_value() && rec.records.empty()) return;  // fresh
 
@@ -247,45 +200,45 @@ void Node::recover_from_store() {
     }
   }
 
-  builder_->begin_restore(floor);
+  replica_.builder().begin_restore(floor);
   for (storage::WalRecord& r : rec.records) {
     if (r.type == storage::WalRecordType::kVertex) {
-      builder_->restore_deliver(r.source, r.round, std::move(r.payload));
+      replica_.builder().restore_deliver(r.source, r.round, std::move(r.payload));
     } else {
-      builder_->restore_own_proposal(r.round, std::move(r.payload));
+      replica_.builder().restore_own_proposal(r.round, std::move(r.payload));
     }
   }
   // Rebuild + deterministic replay of the post-snapshot waves: the rider's
   // snapshot guard suppresses the already-decided ones.
-  builder_->finish_restore();
-  last_compact_floor_ = builder_->gc_floor();
+  replica_.builder().finish_restore();
+  last_compact_floor_ = replica_.builder().gc_floor();
 }
 
 void Node::maybe_compact() {
-  const Round floor = builder_->gc_floor();
+  const Round floor = replica_.builder().gc_floor();
   if (floor <= last_compact_floor_) return;
   last_compact_floor_ = floor;
   storage::Snapshot snap;
   snap.committee = committee();
   snap.pid = pid();
   snap.gc_floor = floor;
-  snap.decided_wave = rider_->decided_wave();
+  snap.decided_wave = replica_.rider().decided_wave();
   snap.ordering = static_cast<std::uint8_t>(opts_.ordering);
-  snap.rounds_per_wave = opts_.builder.rounds_per_wave;
+  snap.rounds_per_wave = replica_.builder().options().rounds_per_wave;
   {
     std::lock_guard<std::mutex> lk(log_mu_);
     snap.delivered = delivered_;
     snap.commits = commits_;
   }
-  store_->compact(snap, builder_->dag());
+  store_->compact(snap, replica_.builder().dag());
 }
 
 void Node::refill_from_mempool() {
-  while (builder_->blocks_pending() < opts_.max_blocks_pending) {
+  while (replica_.builder().blocks_pending() < opts_.max_blocks_pending) {
     std::vector<txpool::Transaction> txs =
         mempool_.drain(opts_.block_max_txs);
     if (txs.empty()) return;
-    rider_->a_bcast(txpool::encode_block(txs));
+    replica_.rider().a_bcast(txpool::encode_block(txs));
   }
 }
 
@@ -331,7 +284,9 @@ void Node::stop() {
 
 metrics::Counters Node::counters() const {
   metrics::Counters out;
-  const dag::BuilderStats& b = builder_->stats();
+  const dag::DagBuilder& builder = replica_.builder();
+  const core::OrderingRule& rider = replica_.rider();
+  const dag::BuilderStats& b = builder.stats();
   out.emplace_back("builder.gc_dropped_deliveries", b.gc_dropped_deliveries);
   out.emplace_back("builder.gc_dropped_buffered", b.gc_dropped_buffered);
   out.emplace_back("builder.quota_rejections", b.quota_rejections);
@@ -341,13 +296,12 @@ metrics::Counters Node::counters() const {
   out.emplace_back("builder.restored_vertices", b.restored_vertices);
   out.emplace_back("builder.gc_floor_holds", b.gc_floor_holds);
   // Frontier gauges (not monotonic): where this builder stands right now.
-  out.emplace_back("builder.current_round", builder_->current_round());
-  out.emplace_back("builder.gc_floor", builder_->gc_floor());
-  out.emplace_back("builder.highest_seen_round",
-                   builder_->highest_seen_round());
-  out.emplace_back("builder.buffer_size", builder_->buffer_size());
+  out.emplace_back("builder.current_round", builder.current_round());
+  out.emplace_back("builder.gc_floor", builder.gc_floor());
+  out.emplace_back("builder.highest_seen_round", builder.highest_seen_round());
+  out.emplace_back("builder.buffer_size", builder.buffer_size());
   out.emplace_back("builder.lowest_missing_parent_round",
-                   builder_->lowest_missing_parent_round());
+                   builder.lowest_missing_parent_round());
   const CatchupStats& c = catchup_->stats();
   out.emplace_back("catchup.requests_sent", c.requests_sent);
   out.emplace_back("catchup.responses_received", c.responses_received);
@@ -389,17 +343,17 @@ metrics::Counters Node::counters() const {
   out.emplace_back("transport.backpressure_overflows",
                    transport_->backpressure_overflows());
   metrics::append_prefixed(out, "transport", transport_->counters());
-  if (byz_ != nullptr) {
-    out.emplace_back("byzantine.attacks", byz_->attacks());
+  if (opts_.byzantine != core::ByzantineProfile::kHonest) {
+    out.emplace_back("byzantine.attacks", replica_.attacks());
   }
   out.emplace_back("ordering.kind",
                    static_cast<std::uint64_t>(opts_.ordering));
-  out.emplace_back("ordering.decided_wave", rider_->decided_wave());
-  out.emplace_back("ordering.waves_evaluated", rider_->waves_evaluated());
+  out.emplace_back("ordering.decided_wave", rider.decided_wave());
+  out.emplace_back("ordering.waves_evaluated", rider.waves_evaluated());
   out.emplace_back("ordering.waves_without_direct_commit",
-                   rider_->waves_without_direct_commit());
-  if (rider_->kind() == core::OrderingKind::kBullshark) {
-    const auto* bs = static_cast<const core::BullsharkRider*>(rider_.get());
+                   rider.waves_without_direct_commit());
+  if (rider.kind() == core::OrderingKind::kBullshark) {
+    const auto* bs = static_cast<const core::BullsharkRider*>(&rider);
     out.emplace_back("ordering.steady_commits", bs->steady_commits());
     out.emplace_back("ordering.fallback_commits", bs->fallback_commits());
     out.emplace_back("ordering.fallback_entries", bs->fallback_entries());

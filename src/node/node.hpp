@@ -1,6 +1,6 @@
 // Real-concurrency node runtime: one OS-thread event loop hosting the same
-// protocol stack the simulator runs (reliable broadcast + threshold coin +
-// DAG builder + DAG-Rider ordering), behind a thread-safe inbox.
+// core::Replica the simulator runs (reliable broadcast + threshold coin +
+// DAG builder + ordering), behind a thread-safe inbox.
 //
 // Concurrency model (see DESIGN.md "Real-concurrency runtime"): the protocol
 // stack is single-threaded and lock-free by construction — every message,
@@ -21,46 +21,34 @@
 #include <thread>
 #include <vector>
 
-#include "coin/coin.hpp"
 #include "coin/dealer.hpp"
-#include "coin/threshold_coin.hpp"
 #include "common/assert.hpp"
-#include "core/ordering.hpp"
 #include "core/records.hpp"
+#include "core/replica.hpp"
 #include "ingress/mempool.hpp"
 #include "ingress/server.hpp"
 #include "metrics/counters.hpp"
 #include "net/bus.hpp"
 #include "net/inbox.hpp"
 #include "net/transport.hpp"
-#include "node/byzantine.hpp"
 #include "node/catchup.hpp"
-#include "rbc/factory.hpp"
 #include "storage/store.hpp"
 
 namespace dr::node {
 
-/// How the node draws its common coin. Mirrors core::CoinMode but without
-/// dragging in the simulator harness header.
-enum class CoinMode {
-  kLocal,      ///< perfect-coin oracle (tests)
-  kThreshold,  ///< shares broadcast on the coin channel
-  kPiggyback,  ///< shares embedded in DAG vertices (paper footnote 1)
-};
+/// Protocol knobs come from core::ReplicaOptions; the defaults differ from
+/// the simulator's: piggybacked coin shares, and auto_blocks keeps rounds
+/// advancing when the mempool runs dry (the paper's "infinitely many blocks"
+/// assumption) with empty filler blocks. lag_skip_threshold lets a node that
+/// restarted far behind sprint to the frontier instead of proposing into
+/// already-closed rounds.
+struct NodeOptions : core::ReplicaOptions {
+  NodeOptions()
+      : ReplicaOptions{.coin_mode = core::CoinMode::kPiggyback,
+                       .builder = {.auto_blocks = true,
+                                   .auto_block_size = 0,
+                                   .lag_skip_threshold = 2}} {}
 
-struct NodeOptions {
-  rbc::RbcKind rbc_kind = rbc::RbcKind::kBracha;
-  CoinMode coin_mode = CoinMode::kPiggyback;
-  /// Which commit rule orders the DAG (DESIGN.md §14). kBullshark forces
-  /// builder.rounds_per_wave to 2 (its wave geometry).
-  core::OrderingKind ordering = core::OrderingKind::kDagRider;
-  core::BullsharkOptions bullshark{};
-  /// auto_blocks keeps rounds advancing when the mempool runs dry (the
-  /// paper's "infinitely many blocks" assumption); size 0 = empty filler.
-  /// lag_skip_threshold lets a node that restarted far behind sprint to the
-  /// frontier instead of proposing into already-closed rounds.
-  dag::BuilderOptions builder{.auto_blocks = true, .auto_block_size = 0,
-                              .lag_skip_threshold = 2};
   /// Durable storage (DESIGN.md §10): empty = no persistence (the seed
   /// behaviour); set to a directory to WAL every accepted vertex and own
   /// proposal there and to recover from it on the next start().
@@ -71,16 +59,14 @@ struct NodeOptions {
   /// Peer catch-up sync over Channel::kSync.
   CatchupOptions catchup{};
   /// Live adversarial profile (DESIGN.md §12): kHonest runs the protocol
-  /// faithfully; any other value replaces the RBC with an attacking wrapper
-  /// (node/byzantine.hpp). The crafted-SEND profiles require kBracha.
-  ByzantineProfile byzantine = ByzantineProfile::kHonest;
-  Round gc_depth_rounds = 0;
+  /// faithfully; any other value replaces the RBC with an attacking one
+  /// (core/byzantine.hpp). The crafted-SEND profiles require kBracha.
+  core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
   /// Laggard-aware GC holdback: a peer heard from within this window pins
   /// the GC floor cap to just below its highest delivered round, keeping the
   /// history it may still catch-up-fetch servable (DESIGN.md §10). A peer
   /// silent for longer stops constraining the floor. 0 disables the clamp.
   std::uint64_t gc_peer_liveness_us = 2'000'000;
-  std::uint64_t seed = 1;
   /// Transactions drained from the mempool into one proposed block.
   std::size_t block_max_txs = 256;
   /// Proposed-block backlog above which the loop stops draining the mempool
@@ -246,11 +232,7 @@ class Node {
   net::Inbox inbox_;
   NodeBus bus_;
 
-  std::unique_ptr<rbc::ReliableBroadcast> rbc_;
-  ByzantineRbc* byz_ = nullptr;  ///< rbc_ downview when opts_.byzantine is set
-  std::unique_ptr<coin::Coin> coin_;
-  std::unique_ptr<dag::DagBuilder> builder_;
-  std::unique_ptr<core::OrderingRule> rider_;
+  core::Replica replica_;
   std::unique_ptr<storage::VertexStore> store_;
   std::unique_ptr<CatchupSync> catchup_;
   Round last_compact_floor_ = 0;

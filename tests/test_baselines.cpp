@@ -5,6 +5,7 @@
 #include <map>
 
 #include "baselines/smr/slot_smr.hpp"
+#include "coin/threshold_coin.hpp"
 #include "rbc/avid_dispersal.hpp"
 #include "sim/network.hpp"
 

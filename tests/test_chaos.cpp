@@ -182,11 +182,11 @@ TEST(ChaosSoak, CanaryViolationCaughtAndReplaysFromSeed) {
 // --- Live Byzantine profiles ---
 
 TEST(ChaosSoak, LiveByzantineProfilesAreNeutralized) {
-  const ByzantineProfile profiles[] = {ByzantineProfile::kEquivocate,
-                                       ByzantineProfile::kMute,
-                                       ByzantineProfile::kSelective};
+  const core::ByzantineProfile profiles[] = {
+      core::ByzantineProfile::kEquivocate, core::ByzantineProfile::kMute,
+      core::ByzantineProfile::kSelective};
   std::uint64_t seed = 31;
-  for (const ByzantineProfile profile : profiles) {
+  for (const core::ByzantineProfile profile : profiles) {
     SoakOptions opts;
     opts.seed = seed++;
     opts.n = 4;

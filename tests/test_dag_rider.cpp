@@ -180,6 +180,8 @@ TEST(DagRiderFaults, EquivocatorCannotBreakAgreement) {
   sys.start();
   ASSERT_TRUE(sys.run_until_delivered(24));
   check_safety(sys);
+  // An equivocator that never equivocated would make this test vacuous.
+  EXPECT_GT(sys.node(2).replica().attacks(), 0u);
 }
 
 TEST(DagRiderFaults, CrashPlusAdversarialDelays) {
@@ -272,6 +274,7 @@ TEST(DagRiderValidity, ChainQualityMeetsBound) {
   System sys(std::move(cfg));
   sys.start();
   ASSERT_TRUE(sys.run_until_delivered(30));
+  EXPECT_GT(sys.node(1).replica().attacks(), 0u);
   const double quality = chain_quality(sys);
   const double bound = 2.0 / 3.0;  // (f+1)/(2f+1) with f=1
   EXPECT_GE(quality, bound - 0.05);

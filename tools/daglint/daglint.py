@@ -77,6 +77,16 @@ Rules (each suppressible per line with `// daglint: allow(<rule>)`):
                     (DESIGN.md §12); one ad-hoc-seeded engine silently
                     voids that for every suite built on top.
 
+  replica-assembly  The DAG-Rider process stack (RBC + coin + DagBuilder +
+                    ordering) is assembled only in src/core/replica.cpp:
+                    make_ordering(), enable_coin_piggyback(),
+                    make_byzantine_rbc() and ThresholdCoin construction
+                    anywhere else are flagged. The simulator and the
+                    threaded node once each wired the stack themselves and
+                    drifted apart; one assembly point keeps the sim tests
+                    and the runtime on the same replica (DESIGN.md §5).
+                    Exempt: the files that declare or define each name.
+
 Usage:
   daglint.py [--rules r1,r2] [--list-rules] PATH...
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -250,6 +260,23 @@ INGRESS_BLOCKING_PATTERNS = [
     (re.compile(r"\.\s*wait(_for|_until)?\s*\("), "blocking wait"),
 ]
 
+# Replica assembly: (pattern, what, files that declare/define it). Only
+# REPLICA_SITE may call these. ThresholdCoin construction covers
+# make_unique<...ThresholdCoin>(, `ThresholdCoin tc(`, and temporaries;
+# pointers, references and casts (`ThresholdCoin*`, `ThresholdCoin&`) don't hit.
+REPLICA_SITE = "core/replica.cpp"
+REPLICA_ASSEMBLY = [
+    (re.compile(r"\bmake_ordering\s*\("), "make_ordering()",
+     ("core/ordering.hpp", "core/ordering.cpp")),
+    (re.compile(r"\benable_coin_piggyback\s*\("), "enable_coin_piggyback()",
+     ("dag/builder.hpp",)),
+    (re.compile(r"\bmake_byzantine_rbc\s*\("), "make_byzantine_rbc()",
+     ("core/byzantine.hpp", "core/byzantine.cpp")),
+    (re.compile(r"\bThresholdCoin\b\s*(?:>\s*\(|\w+\s*[({]|[({])"),
+     "ThresholdCoin construction",
+     ("coin/threshold_coin.hpp", "coin/threshold_coin.cpp")),
+]
+
 SHA256_ALLOWLIST_FILE = Path(__file__).resolve().parent / "sha256_allowlist.txt"
 _sha256_allowlist_cache: list[str] | None = None
 
@@ -298,6 +325,10 @@ def check_file(path: Path, text: str, rules) -> list[Finding]:
                                not rel(path).endswith(INGRESS_SOCKETS_SUFFIX))
     sha256_sanctioned = in_dirs(path, CRYPTO_DIRS) or any(
         rel(path).endswith(entry) for entry in sha256_allowlist())
+
+    replica_checks = [] if rel(path).endswith(REPLICA_SITE) else [
+        (pat, what) for pat, what, defs in REPLICA_ASSEMBLY
+        if not any(rel(path).endswith(d) for d in defs)]
 
     for idx, line in enumerate(code_lines, start=1):
         if not is_types_hpp:
@@ -351,6 +382,13 @@ def check_file(path: Path, text: str, rules) -> list[Finding]:
                        "argument; every fault decision must be a pure "
                        "function of the plan seed or the run would stop "
                        "replaying (seed-replay contract, DESIGN.md §12)")
+        for pat, what in replica_checks:
+            if pat.search(line):
+                report(idx, "replica-assembly",
+                       what + " outside src/core/replica.cpp; build the "
+                       "process stack through core::Replica (or the coin "
+                       "through core::make_coin) so the simulator and the "
+                       "runtime share one assembly (DESIGN.md §5)")
         if (NODISCARD_NAMES.search(line) and NODISCARD_RET.search(line) and
                 not NODISCARD_QUALIFIED_DEF.search(line)):
             has_attr = NODISCARD_ATTR in line or (
@@ -374,6 +412,7 @@ ALL_RULES = (
     "payload-hash",
     "ingress-blocking",
     "chaos-seeded",
+    "replica-assembly",
 )
 
 

@@ -354,6 +354,74 @@ class ChaosSeeded(unittest.TestCase):
         self.assertEqual(rules_of(findings), set())
 
 
+class ReplicaAssembly(unittest.TestCase):
+    def test_make_ordering_in_node_flagged(self):
+        findings = lint_snippet(
+            "src/node/node.cpp",
+            "rider_ = core::make_ordering(opts_.ordering, *builder_, *coin_);\n")
+        self.assertIn("replica-assembly", rules_of(findings))
+
+    def test_piggyback_wiring_in_system_flagged(self):
+        findings = lint_snippet(
+            "src/core/system.cpp",
+            "builder_->enable_coin_piggyback(provide, sink);\n")
+        self.assertIn("replica-assembly", rules_of(findings))
+
+    def test_byzantine_rbc_in_node_flagged(self):
+        findings = lint_snippet(
+            "src/node/node.cpp",
+            "auto byz = make_byzantine_rbc(profile, bus_, pid, std::move(rbc_));\n")
+        self.assertIn("replica-assembly", rules_of(findings))
+
+    def test_threshold_coin_constructions_flagged(self):
+        for code in (
+                "auto tc = std::make_unique<coin::ThresholdCoin>(bus, key);\n",
+                "coin::ThresholdCoin tc(bus, key);\n",
+                "coins.emplace_back(coin::ThresholdCoin{bus, key});\n"):
+            with self.subTest(code=code):
+                findings = lint_snippet("src/baselines/smr/slot_smr.cpp", code)
+                self.assertIn("replica-assembly", rules_of(findings))
+
+    def test_replica_cpp_is_the_assembly_site(self):
+        findings = lint_snippet(
+            "src/core/replica.cpp",
+            "coin_ = std::make_unique<coin::ThresholdCoin>(bus, key);\n"
+            "builder_->enable_coin_piggyback(provide, sink);\n"
+            "rider_ = make_ordering(opts.ordering, *builder_, *coin_);\n"
+            "auto byz = make_byzantine_rbc(byzantine, bus, pid, std::move(rbc_));\n")
+        self.assertEqual(rules_of(findings), set())
+
+    def test_definition_sites_exempt(self):
+        cases = {
+            "src/core/ordering.hpp":
+                "std::unique_ptr<OrderingRule> make_ordering(OrderingKind kind,\n",
+            "src/dag/builder.hpp":
+                "  void enable_coin_piggyback(CoinShareProviderFn p, CoinShareSinkFn s) {\n",
+            "src/core/byzantine.cpp":
+                "std::unique_ptr<ByzantineRbc> make_byzantine_rbc(\n",
+            "src/coin/threshold_coin.cpp":
+                "ThresholdCoin::ThresholdCoin(net::Bus& net, ProcessCoinKey key,\n",
+        }
+        for relpath, code in cases.items():
+            with self.subTest(relpath=relpath):
+                self.assertEqual(rules_of(lint_snippet(relpath, code)), set())
+
+    def test_pointers_casts_and_calls_clean(self):
+        findings = lint_snippet(
+            "src/node/node.cpp",
+            "coin::ThresholdCoin* tc = nullptr;\n"
+            "auto& c = static_cast<coin::ThresholdCoin&>(coin);\n"
+            "coin_ = core::make_coin(mode, bus, pid, dealer, seed);\n"
+            "class ThresholdCoinTest : public ::testing::Test {};\n")
+        self.assertEqual(rules_of(findings), set())
+
+    def test_allow_comment_suppresses(self):
+        findings = lint_snippet(
+            "src/core/system.cpp",
+            "auto r = make_ordering(k, b, c);  // daglint: allow(replica-assembly)\n")
+        self.assertEqual(rules_of(findings), set())
+
+
 class StripComments(unittest.TestCase):
     def test_line_numbers_preserved(self):
         text = "int a;\n/* two\nline comment */\nstd::mutex bad;\n"
