@@ -248,7 +248,8 @@ BENCHMARK(BM_DagCommitRuleSupport)->Arg(4)->Arg(10)->Arg(31);
 }  // namespace dr
 
 // Same CLI contract as the table benches: --json <path> (mapped onto the
-// library's JSON reporter) and --smoke (minimal per-benchmark runtime).
+// library's JSON reporter), --smoke (minimal per-benchmark runtime), and exit
+// 2 on a flag neither this wrapper nor the library knows.
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc) + 2);
@@ -269,7 +270,7 @@ int main(int argc, char** argv) {
   for (auto& s : args) cargv.push_back(s.data());
   int cargc = static_cast<int>(cargv.size());
   ::benchmark::Initialize(&cargc, cargv.data());
-  if (::benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 1;
+  if (::benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 2;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   return 0;

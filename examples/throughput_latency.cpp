@@ -1,19 +1,64 @@
 // throughput_latency — live-workload performance study.
 //
-// Open-loop clients inject transactions into per-process mempools; blocks
-// carry real batches instead of synthetic filler. Reports end-to-end
-// (submit -> a_deliver) latency percentiles and committed throughput for
-// each reliable-broadcast instantiation at several committee sizes.
+// Open-loop clients submit KvStore put commands to per-process mempools
+// through app::ReplicatedService; blocks carry real batches instead of
+// synthetic filler. Reports end-to-end (submit -> a_deliver) latency
+// percentiles and committed throughput for each reliable-broadcast
+// instantiation at several committee sizes.
 //
 //   usage: throughput_latency [tx_per_tick]
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
+#include "app/kvstore.hpp"
+#include "app/replicated.hpp"
 #include "metrics/table.hpp"
-#include "txpool/client.hpp"
+
+namespace {
+
+using namespace dr;
+
+/// Poisson client population: exponential inter-arrival with mean
+/// 1 / tx_per_tick, each command submitted at one random correct replica.
+class PoissonClients {
+ public:
+  PoissonClients(core::System& sys, app::ReplicatedService& svc,
+                 double tx_per_tick, std::uint64_t seed)
+      : sys_(sys), svc_(svc), rate_(tx_per_tick), rng_(seed),
+        correct_(sys.correct_ids()) {}
+
+  void start() { schedule_next(); }
+
+ private:
+  void schedule_next() {
+    const double u = std::max(rng_.uniform(), 1e-12);
+    const auto gap =
+        static_cast<sim::SimTime>(std::max(1.0, -std::log(u) / rate_));
+    sys_.simulator().schedule(gap, [this] {
+      const std::uint64_t id = next_id_++;
+      app::KvCommand put;
+      put.key = std::to_string(id % 64);
+      put.value.assign(48, static_cast<std::uint8_t>(id));
+      const ProcessId p = correct_[rng_.below(correct_.size())];
+      (void)svc_.submit(p, id, put.encode());
+      schedule_next();
+    });
+  }
+
+  core::System& sys_;
+  app::ReplicatedService& svc_;
+  double rate_;
+  Xoshiro256 rng_;
+  std::vector<ProcessId> correct_;
+  std::uint64_t next_id_ = 1;
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace dr;
   const double rate = argc > 1 ? std::atof(argv[1]) : 0.2;
 
   metrics::Table table({"rbc", "n", "committed tx", "tx/1k-ticks",
@@ -30,16 +75,15 @@ int main(int argc, char** argv) {
       cfg.builder.auto_block_size = 0;
       core::System sys(std::move(cfg));
 
-      txpool::WorkloadConfig wl;
-      wl.tx_per_tick = rate;
-      wl.tx_payload = 64;
-      wl.batch_max = 32;
-      txpool::ClientSwarm swarm(sys, wl, 99);
+      app::ReplicatedService svc(
+          sys, [] { return std::make_unique<app::KvStore>(); });
+      PoissonClients clients(sys, svc, rate, 99);
       sys.start();
-      swarm.start();
+      svc.start();
+      clients.start();
 
       const bool ok = sys.simulator().run_until(
-          [&] { return swarm.committed() >= 400; }, 100'000'000);
+          [&] { return svc.committed() >= 400; }, 100'000'000);
       if (!ok) {
         table.add_row({rbc::to_string(kind), std::to_string(n), "stalled"});
         continue;
@@ -47,14 +91,14 @@ int main(int argc, char** argv) {
       const double elapsed = static_cast<double>(sys.simulator().now());
       table.add_row(
           {rbc::to_string(kind), std::to_string(n),
-           metrics::Table::fmt_u64(swarm.committed()),
+           metrics::Table::fmt_u64(svc.committed()),
            metrics::Table::fmt(
-               static_cast<double>(swarm.committed()) / elapsed * 1000.0, 1),
-           metrics::Table::fmt(swarm.latency().percentile(0.50), 0),
-           metrics::Table::fmt(swarm.latency().percentile(0.95), 0),
+               static_cast<double>(svc.committed()) / elapsed * 1000.0, 1),
+           metrics::Table::fmt(svc.latency().percentile(0.50), 0),
+           metrics::Table::fmt(svc.latency().percentile(0.95), 0),
            metrics::Table::fmt(
                static_cast<double>(sys.network().total_bytes_sent()) /
-                   static_cast<double>(swarm.committed()),
+                   static_cast<double>(svc.committed()),
                0)});
     }
   }

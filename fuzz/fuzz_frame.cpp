@@ -7,6 +7,7 @@
 //     frames appear (resync inside a corrupt length-prefixed stream would be
 //     a framing-confusion bug, the classic transport-layer equivocation
 //     vector).
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -67,9 +68,9 @@ std::vector<Bytes> seed_inputs() {
   using namespace dr::net;
   std::vector<Bytes> seeds;
   auto with_n = [](std::uint8_t n, const Bytes& stream) {
-    Bytes s;
-    s.push_back(n);
-    s.insert(s.end(), stream.begin(), stream.end());
+    Bytes s(1 + stream.size());
+    s[0] = n;
+    std::copy(stream.begin(), stream.end(), s.begin() + 1);
     return s;
   };
   // One well-formed frame per channel.

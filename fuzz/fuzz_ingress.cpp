@@ -11,6 +11,7 @@
 // Checked invariants: no crash / OOM on arbitrary input, every accepted
 // message respects the declared bounds, and accepted messages re-encode to
 // the bytes that produced them (codec is canonical).
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -118,9 +119,9 @@ std::vector<Bytes> seed_inputs() {
   using namespace dr::ingress;
   std::vector<Bytes> seeds;
   auto with_surface = [](std::uint8_t surface, const Bytes& body) {
-    Bytes s;
-    s.push_back(surface);
-    s.insert(s.end(), body.begin(), body.end());
+    Bytes s(1 + body.size());
+    s[0] = surface;
+    std::copy(body.begin(), body.end(), s.begin() + 1);
     return s;
   };
 

@@ -7,30 +7,42 @@ ReplicatedService::ReplicatedService(core::System& sys, MachineFactory factory,
                                      sim::SimTime pump_every)
     : sys_(sys), batch_max_(batch_max), pump_every_(pump_every) {
   correct_ = sys_.correct_ids();
+  DR_ASSERT_MSG(!correct_.empty(), "ReplicatedService needs a correct process");
   for (ProcessId p = 0; p < sys_.n(); ++p) {
     machines_.push_back(factory());
-    pools_.push_back(std::make_unique<txpool::Mempool>());
+    pools_.push_back(std::make_unique<ingress::ShardedMempool>());
   }
   for (ProcessId p : correct_) {
     sys_.node(p).set_app_deliver(
         [this, p](const Bytes& block, Round, ProcessId) {
-          auto txs = txpool::decode_block(block);
-          if (!txs) return;  // padding / foreign block: no-op
-          pools_[p]->observe_delivered(txs.value());
-          for (const txpool::Transaction& tx : txs.value()) {
-            machines_[p]->apply(tx.payload);
-          }
+          on_deliver(p, block);
         });
   }
 }
 
-bool ReplicatedService::submit(ProcessId p, std::uint64_t command_id,
-                               Bytes command) {
+void ReplicatedService::on_deliver(ProcessId p, const Bytes& block) {
+  auto txs = txpool::decode_block(block);
+  if (!txs) return;  // padding / foreign block: no-op
+  const bool probe = p == correct_.front();
+  for (const txpool::Transaction& tx : txs.value()) {
+    const crypto::Digest digest = ingress::tx_digest(tx);
+    (void)pools_[p]->mark_committed(digest);
+    machines_[p]->apply(tx.payload);
+    if (probe && committed_.insert(digest).second) {
+      latency_.add(
+          static_cast<double>(sys_.simulator().now() - tx.submit_time));
+    }
+  }
+}
+
+ingress::SubmitStatus ReplicatedService::submit(ProcessId p,
+                                                std::uint64_t command_id,
+                                                Bytes command) {
   txpool::Transaction tx;
   tx.id = command_id;
   tx.submit_time = sys_.simulator().now();
   tx.payload = std::move(command);
-  return pools_[p]->submit(std::move(tx));
+  return pools_[p]->submit(std::move(tx), ingress::TxOrigin{});
 }
 
 void ReplicatedService::start() {
@@ -39,10 +51,10 @@ void ReplicatedService::start() {
 
 void ReplicatedService::schedule_pump(ProcessId p) {
   sys_.simulator().schedule(pump_every_, [this, p] {
-    auto& builder = sys_.node(p).builder();
-    if (builder.blocks_pending() == 0 && pools_[p]->pending() > 0) {
-      Bytes block = pools_[p]->next_block(batch_max_);
-      if (!block.empty()) sys_.node(p).rider().a_bcast(std::move(block));
+    // One pending block at a time so every vertex carries the freshest batch.
+    if (sys_.node(p).builder().blocks_pending() == 0) {
+      const std::vector<txpool::Transaction> txs = pools_[p]->drain(batch_max_);
+      if (!txs.empty()) sys_.node(p).rider().a_bcast(txpool::encode_block(txs));
     }
     schedule_pump(p);
   });

@@ -67,14 +67,10 @@ class ByteReader {
   std::uint32_t u32() { return read_le<std::uint32_t>(); }
   std::uint64_t u64() { return read_le<std::uint64_t>(); }
 
-  /// Reads exactly n raw bytes (fixed-size digest fields).
-  Bytes raw(std::size_t n) {
-    if (!check(n)) return {};
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
+  /// Reads exactly n raw bytes (fixed-size digest fields). Out of line: an
+  /// inlined copy lets GCC 12 flag reads past a buffer it can see the size
+  /// of even when check() has already failed (-Wstringop-overread).
+  Bytes raw(std::size_t n);
 
   /// Reads a u32 length prefix then that many bytes.
   Bytes blob() {

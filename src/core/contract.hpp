@@ -82,9 +82,11 @@ namespace dr::contract {
 
 #else  // !DR_CONTRACTS_ENABLED
 
-#define DR_REQUIRE(expr, what) ((void)0)
-#define DR_ENSURE(expr, what) ((void)0)
-#define DR_INVARIANT(expr, what) ((void)0)
+// Unevaluated operands: no side effects run, but variables read only by a
+// contract still count as used, so release builds stay warning-clean.
+#define DR_REQUIRE(expr, what) ((void)sizeof(!(expr)), (void)sizeof(what))
+#define DR_ENSURE(expr, what) ((void)sizeof(!(expr)), (void)sizeof(what))
+#define DR_INVARIANT(expr, what) ((void)sizeof(!(expr)), (void)sizeof(what))
 #define DR_CONTRACT_STATE(...)
 
 #endif  // DR_CONTRACTS_ENABLED

@@ -1,7 +1,8 @@
-// Digest-partitioned mempool behind the client ingress tier (DESIGN.md §13).
-// Replaces the single-lock txpool::Mempool stub on the node's hot path: the
-// ingress I/O thread and any number of client threads submit concurrently,
-// the node thread drains blocks, and contention stays per-shard.
+// Digest-partitioned mempool behind the client ingress tier (DESIGN.md §13),
+// and the only mempool: the threaded node and the simulator's
+// app::ReplicatedService both own one per process. On the node the ingress
+// I/O thread and any number of client threads submit concurrently, the node
+// thread drains blocks, and contention stays per-shard.
 //
 // Identity is the tx digest — sha256 over (id, payload), excluding the
 // server-stamped submit_time so a client resubmitting the same logical tx

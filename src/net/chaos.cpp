@@ -130,7 +130,8 @@ std::string ChaosPlan::describe() const {
     out += " part[" + std::to_string(p.start_us) + ".." +
            std::to_string(p.heal_us) + "us A={";
     for (std::size_t i = 0; i < p.group_a.size(); ++i) {
-      out += (i ? "," : "") + std::to_string(p.group_a[i]);
+      if (i != 0) out += ',';
+      out += std::to_string(p.group_a[i]);
     }
     out += "}]";
   }

@@ -242,10 +242,6 @@ void Node::refill_from_mempool() {
   }
 }
 
-bool Node::submit(txpool::Transaction tx) {
-  return submit_tx(std::move(tx)) == ingress::SubmitStatus::kAccepted;
-}
-
 ingress::SubmitStatus Node::submit_tx(txpool::Transaction tx) {
   // Internal (non-session) submission: origin 0 means no ack routing.
   return mempool_.submit(std::move(tx), ingress::TxOrigin{});

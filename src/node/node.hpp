@@ -76,7 +76,7 @@ struct NodeOptions : core::ReplicaOptions {
   std::size_t inbox_capacity = 1 << 16;
   /// Event-loop sleep cap when the inbox is empty.
   std::chrono::milliseconds idle_wait{1};
-  /// Sharded mempool behind submit()/the ingress tier (DESIGN.md §13).
+  /// Sharded mempool behind submit_tx()/the ingress tier (DESIGN.md §13).
   ingress::MempoolOptions mempool{};
   /// Client ingress front end: when enabled, start() also opens a TCP
   /// tx-submission endpoint (ingress.port 0 = kernel-assigned, read back via
@@ -160,12 +160,8 @@ class Node {
   void stop_loop();
   void stop_transport();
 
-  /// Thread-safe client submission into the mempool. Returns false on
-  /// duplicate or mempool overflow (client-facing backpressure).
-  bool submit(txpool::Transaction tx);
-
-  /// Full-verdict submission path (what the ingress server uses); submit()
-  /// is the boolean convenience wrapper over this.
+  /// Thread-safe client submission into the mempool; anything but kAccepted
+  /// is a duplicate or client-facing backpressure.
   ingress::SubmitStatus submit_tx(txpool::Transaction tx);
 
   ingress::ShardedMempool& mempool() { return mempool_; }

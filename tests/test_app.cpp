@@ -13,6 +13,14 @@ Bytes bytes_of(const char* s) {
                reinterpret_cast<const std::uint8_t*>(s) + std::strlen(s));
 }
 
+Bytes put_command(std::uint64_t i) {
+  KvCommand put;
+  put.op = KvCommand::Op::kPut;
+  put.key = "key" + std::to_string(i % 8);
+  put.value = Bytes(32, static_cast<std::uint8_t>(i));
+  return put.encode();
+}
+
 TEST(KvCommand, EncodeDecodeRoundTrip) {
   KvCommand cmd;
   cmd.op = KvCommand::Op::kCas;
@@ -194,6 +202,83 @@ TEST(ReplicatedService, CasLinearizesAcrossReplicas) {
   for (ProcessId p : sys.correct_ids()) {
     EXPECT_EQ(static_cast<KvStore&>(svc.machine(p)).get("lock"), lock_value);
   }
+}
+
+// Transactions submitted over time at every replica commit, and the probe
+// records one submit -> first-delivery latency sample per transaction.
+TEST(ReplicatedService, TransactionsCommitWithMeasuredLatency) {
+  core::SystemConfig cfg;
+  cfg.committee = Committee::for_f(1);
+  cfg.seed = 17;
+  cfg.rbc_kind = rbc::RbcKind::kBracha;
+  cfg.builder.auto_blocks = true;  // pad rounds when pools run dry
+  cfg.builder.auto_block_size = 0;
+  core::System sys(std::move(cfg));
+  ReplicatedService svc(sys, [] { return std::make_unique<KvStore>(); },
+                        /*batch_max=*/16);
+
+  constexpr std::uint64_t kTxs = 100;
+  for (std::uint64_t i = 1; i <= kTxs; ++i) {
+    sys.simulator().schedule(5 * i, [&svc, i] {
+      EXPECT_EQ(svc.submit(static_cast<ProcessId>(i % 4), i, put_command(i)),
+                ingress::SubmitStatus::kAccepted);
+    });
+  }
+  sys.start();
+  svc.start();
+  ASSERT_TRUE(sys.simulator().run_until(
+      [&] { return svc.committed() >= kTxs; }, 30'000'000));
+  EXPECT_EQ(svc.committed(), kTxs);
+  EXPECT_EQ(svc.latency().count(), svc.committed());
+  EXPECT_GT(svc.latency().mean(), 0.0);
+  // Sanity: p95 latency is some small multiple of a wave.
+  EXPECT_LT(svc.latency().percentile(0.95), 30'000.0);
+  EXPECT_TRUE(svc.replicas_consistent());
+}
+
+// Each transaction lands at two replicas, and replica 3 is crashed: the
+// copies at correct replicas may both be proposed, yet every transaction is
+// counted (and timed) once. submit() reports the mempool's verdict.
+TEST(ReplicatedService, RedundantSubmissionCommitsOnceDespiteCrash) {
+  core::SystemConfig cfg;
+  cfg.committee = Committee::for_f(1);
+  cfg.seed = 18;
+  cfg.rbc_kind = rbc::RbcKind::kOracle;
+  cfg.builder.auto_blocks = true;
+  cfg.builder.auto_block_size = 0;
+  cfg.faults.assign(4, core::FaultKind::kNone);
+  cfg.faults[3] = core::FaultKind::kCrash;
+  core::System sys(std::move(cfg));
+  ReplicatedService svc(sys, [] { return std::make_unique<KvStore>(); });
+
+  constexpr std::uint64_t kTxs = 50;
+  for (std::uint64_t i = 1; i <= kTxs; ++i) {
+    for (std::uint64_t copy = 0; copy < 2; ++copy) {
+      ASSERT_EQ(svc.submit(static_cast<ProcessId>((i + copy) % 4), i,
+                           put_command(i)),
+                ingress::SubmitStatus::kAccepted);
+    }
+  }
+  EXPECT_EQ(svc.submit(1, 1, put_command(1)),
+            ingress::SubmitStatus::kDuplicatePending);
+  sys.start();
+  svc.start();
+  ASSERT_TRUE(sys.simulator().run_until(
+      [&] { return svc.committed() >= kTxs; }, 30'000'000));
+  // Let the slower copies deliver too.
+  const sim::SimTime later = sys.simulator().now() + 5'000;
+  ASSERT_TRUE(sys.simulator().run_until(
+      [&] { return sys.simulator().now() >= later; }, 30'000'000));
+  EXPECT_GT(svc.applied_at_probe(), kTxs);  // some copy was ordered twice
+  EXPECT_EQ(svc.committed(), kTxs);
+  EXPECT_EQ(svc.latency().count(), kTxs);
+  EXPECT_TRUE(svc.replicas_consistent());
+  // Delivery cleared every copy at the correct replicas, proposed or not.
+  for (ProcessId p : sys.correct_ids()) {
+    EXPECT_EQ(svc.mempool(p).pending() + svc.mempool(p).in_flight(), 0u);
+  }
+  EXPECT_EQ(svc.submit(1, 1, put_command(1)),
+            ingress::SubmitStatus::kDuplicateCommitted);
 }
 
 }  // namespace

@@ -210,7 +210,8 @@ std::vector<DiffScenario> make_diff_scenarios() {
   static std::deque<std::string> names;
   for (std::uint32_t n : {4u, 7u}) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-      names.push_back("n" + std::to_string(n) + "_s" + std::to_string(seed));
+      names.push_back(std::string("n").append(std::to_string(n)).append("_s")
+                          .append(std::to_string(seed)));
       out.push_back(DiffScenario{seed, n, names.back().c_str()});
     }
   }
