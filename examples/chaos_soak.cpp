@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/ordering.hpp"
 #include "node/soak.hpp"
 
@@ -37,15 +38,26 @@ struct Args {
   dr::core::OrderingKind ordering = dr::core::OrderingKind::kDagRider;
 };
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: chaos_soak [--smoke] [--seeds N] [--seed S] [--n N] "
+               "[--wal DIR] [--ingress] [--ordering dagrider|bullshark]\n");
+  std::exit(2);
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc) {
-      a.seeds = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      a.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--n") && i + 1 < argc) {
-      a.n = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+    auto number = [&](auto& out) {
+      const char* v = i + 1 < argc ? argv[++i] : nullptr;
+      if (!dr::examples::parse_unsigned(v, out)) usage();
+    };
+    if (!std::strcmp(argv[i], "--seeds")) {
+      number(a.seeds);
+    } else if (!std::strcmp(argv[i], "--seed")) {
+      number(a.seed);
+    } else if (!std::strcmp(argv[i], "--n")) {
+      number(a.n);
     } else if (!std::strcmp(argv[i], "--wal") && i + 1 < argc) {
       a.wal_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "--smoke")) {
@@ -62,7 +74,7 @@ Args parse(int argc, char** argv) {
       a.ordering = *kind;
     } else {
       std::fprintf(stderr, "unknown arg: %s\n", argv[i]);
-      std::exit(2);
+      usage();
     }
   }
   return a;

@@ -4,7 +4,8 @@
 //   --mode inproc   (default) n nodes as OS threads in this process,
 //                   shared-memory transport
 //   --mode tcp      n nodes in this process, loopback TCP links (the full
-//                   wire path: framing, handshakes, reader/writer threads)
+//                   wire path: framing, handshakes, reader/writer threads);
+//                   the same node::Cluster as inproc, with tcp_transport set
 //   --mode tcp2     forks into TWO OS processes, each hosting half of the
 //                   nodes, connected over loopback TCP. The halves verify
 //                   agreement for real: the child streams the digest chain
@@ -25,6 +26,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/audit.hpp"
 #include "crypto/sha256.hpp"
 #include "net/tcp.hpp"
@@ -43,24 +45,37 @@ struct Args {
   std::uint64_t blocks = 160;  ///< delivered blocks to wait for per node
 };
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: cluster_main [--mode inproc|tcp|tcp2] [--n N] "
+               "[--seed S] [--txs T] [--blocks B]\n");
+  std::exit(2);
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string k = argv[i];
     auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
+      return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (k == "--mode") a.mode = next();
-    else if (k == "--n") a.n = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (k == "--seed") a.seed = std::strtoull(next(), nullptr, 10);
-    else if (k == "--txs") a.txs = std::strtoull(next(), nullptr, 10);
-    else if (k == "--blocks") a.blocks = std::strtoull(next(), nullptr, 10);
-    else {
-      std::fprintf(stderr,
-                   "usage: cluster_main [--mode inproc|tcp|tcp2] [--n N] "
-                   "[--seed S] [--txs T] [--blocks B]\n");
-      std::exit(2);
+    bool ok = true;
+    if (k == "--mode") {
+      const char* v = next();
+      ok = v != nullptr;
+      if (ok) a.mode = v;
+    } else if (k == "--n") {
+      ok = examples::parse_unsigned(next(), a.n) && a.n != 0;
+    } else if (k == "--seed") {
+      ok = examples::parse_unsigned(next(), a.seed);
+    } else if (k == "--txs") {
+      ok = examples::parse_unsigned(next(), a.txs);
+    } else if (k == "--blocks") {
+      ok = examples::parse_unsigned(next(), a.blocks);
+    } else {
+      ok = false;
     }
+    if (!ok) usage();
   }
   return a;
 }
@@ -92,15 +107,19 @@ int report(const std::vector<std::vector<core::DeliveredRecord>>& delivered,
   return 0;
 }
 
-int run_inproc(const Args& a) {
+/// inproc and tcp: one node::Cluster in this process, over shared memory or
+/// loopback TCP links.
+int run_cluster(const Args& a, bool tcp) {
   node::NodeOptions opts;
   opts.seed = a.seed;
-  node::Cluster cluster(Committee::for_n(a.n), opts);
+  node::ClusterTweaks tweaks;
+  tweaks.tcp_transport = tcp;
+  node::Cluster cluster(Committee::for_n(a.n), opts, std::move(tweaks));
   cluster.start();
   const auto t0 = std::chrono::steady_clock::now();
   submit_workload(cluster, a.txs);
   if (!cluster.wait_all_delivered(a.blocks, std::chrono::minutes(2))) {
-    std::fprintf(stderr, "cluster stalled\n");
+    std::fprintf(stderr, "%s cluster stalled\n", a.mode.c_str());
     return 1;
   }
   const double secs =
@@ -110,7 +129,8 @@ int run_inproc(const Args& a) {
   return report(cluster.delivered_logs(), cluster.commit_logs(), secs);
 }
 
-/// Builds the nodes this process hosts ([lo, hi)) on TCP transports.
+/// Builds the nodes this process hosts ([lo, hi)) on TCP transports; only
+/// tcp2 needs this, since its nodes live in two processes.
 std::vector<std::unique_ptr<node::Node>> make_tcp_nodes(
     const Committee& committee, const std::vector<net::TcpPeer>& peers,
     const coin::CoinDealer& dealer, std::uint64_t seed, ProcessId lo,
@@ -156,35 +176,6 @@ crypto::Digest prefix_digest(const std::vector<core::DeliveredRecord>& log,
     w.u32(log[i].source);
   }
   return crypto::sha256(w.bytes());
-}
-
-int run_tcp_single(const Args& a) {
-  const Committee committee = Committee::for_n(a.n);
-  const auto ports = net::pick_free_ports(a.n);
-  std::vector<net::TcpPeer> peers;
-  for (auto p : ports) peers.push_back(net::TcpPeer{"127.0.0.1", p});
-  const coin::CoinDealer dealer(a.seed ^ coin::kDealerSeedTweak, committee);
-
-  auto nodes = make_tcp_nodes(committee, peers, dealer, a.seed, 0, a.n);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& n : nodes) n->start();
-  if (!wait_delivered(nodes, a.blocks)) {
-    std::fprintf(stderr, "tcp cluster stalled\n");
-    return 1;
-  }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (auto& n : nodes) n->stop_loop();
-  for (auto& n : nodes) n->stop_transport();
-
-  std::vector<std::vector<core::DeliveredRecord>> delivered;
-  std::vector<std::vector<core::CommitRecord>> commits;
-  for (auto& n : nodes) {
-    delivered.push_back(n->delivered_snapshot());
-    commits.push_back(n->commits_snapshot());
-  }
-  return report(delivered, commits, secs);
 }
 
 int run_tcp_two_processes(const Args& a) {
@@ -279,8 +270,8 @@ int run_tcp_two_processes(const Args& a) {
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
-  if (a.mode == "inproc") return run_inproc(a);
-  if (a.mode == "tcp") return run_tcp_single(a);
+  if (a.mode == "inproc") return run_cluster(a, false);
+  if (a.mode == "tcp") return run_cluster(a, true);
   if (a.mode == "tcp2") return run_tcp_two_processes(a);
   std::fprintf(stderr, "unknown --mode %s\n", a.mode.c_str());
   return 2;

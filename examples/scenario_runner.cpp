@@ -10,16 +10,17 @@
 // report: progress, commits, traffic split by channel, latency, fairness,
 // and the BAB safety audit.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/system.hpp"
 #include "metrics/table.hpp"
 
 namespace {
 
 using namespace dr;
+using examples::parse_unsigned;
 
 struct Args {
   std::uint32_t f = 1;
@@ -44,7 +45,8 @@ bool parse_faults(const char* spec, Args& a) {
     const std::size_t comma = s.find(',', eq);
     const std::string val =
         s.substr(eq + 1, (comma == std::string::npos ? s.size() : comma) - eq - 1);
-    const auto count = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+    std::uint32_t count = 0;
+    if (!parse_unsigned(val.c_str(), count)) return false;
     if (key == "crash") a.crash = count;
     else if (key == "silent") a.silent = count;
     else if (key == "equivocate") a.equivocate = count;
@@ -60,9 +62,7 @@ bool parse_args(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (!std::strcmp(argv[i], "--f")) {
-      const char* v = next();
-      if (!v) return false;
-      a.f = static_cast<std::uint32_t>(std::atoi(v));
+      if (!parse_unsigned(next(), a.f)) return false;
     } else if (!std::strcmp(argv[i], "--rbc")) {
       const char* v = next();
       if (!v) return false;
@@ -79,21 +79,13 @@ bool parse_args(int argc, char** argv, Args& a) {
       const char* v = next();
       if (!v || !parse_faults(v, a)) return false;
     } else if (!std::strcmp(argv[i], "--seed")) {
-      const char* v = next();
-      if (!v) return false;
-      a.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_unsigned(next(), a.seed)) return false;
     } else if (!std::strcmp(argv[i], "--waves")) {
-      const char* v = next();
-      if (!v) return false;
-      a.waves = std::strtoull(v, nullptr, 10);
+      if (!parse_unsigned(next(), a.waves)) return false;
     } else if (!std::strcmp(argv[i], "--gc")) {
-      const char* v = next();
-      if (!v) return false;
-      a.gc = std::strtoull(v, nullptr, 10);
+      if (!parse_unsigned(next(), a.gc)) return false;
     } else if (!std::strcmp(argv[i], "--block")) {
-      const char* v = next();
-      if (!v) return false;
-      a.block = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_unsigned(next(), a.block)) return false;
     } else {
       return false;
     }

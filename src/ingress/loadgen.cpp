@@ -23,6 +23,8 @@ std::uint64_t mono_us() {
 /// debt instead of building an unbounded backlog (counted as
 /// overload_skips).
 constexpr std::size_t kMaxArrivalsPerTick = 16'384;
+/// Max txs of one client coalesced into a single SubmitBatch.
+constexpr std::size_t kBatchMax = 64;
 
 }  // namespace
 
@@ -168,11 +170,11 @@ struct LoadGen::Driver {
       Client* c = conns[conn].get();
       for (auto& [client_id, txs] : per_client) {
         for (std::size_t base = 0; base < txs.size();
-             base += opts.batch_max) {
+             base += kBatchMax) {
           SubmitBatch batch;
           batch.client_id = client_id;
           const std::size_t end =
-              std::min(txs.size(), base + opts.batch_max);
+              std::min(txs.size(), base + kBatchMax);
           batch.txs.assign(
               std::make_move_iterator(txs.begin() +
                                       static_cast<std::ptrdiff_t>(base)),

@@ -52,8 +52,6 @@ struct LoadGenOptions {
   /// the outstanding txs of its clients are resubmitted. 0 = no churn.
   std::uint64_t churn_period_ms = 0;
   std::uint64_t seed = 1;
-  /// Max txs of one client coalesced into a single SubmitBatch.
-  std::size_t batch_max = 64;
   int connect_timeout_ms = 2'000;
   /// After the run window, keep pumping acks for up to this long.
   std::uint64_t drain_ms = 2'000;

@@ -164,13 +164,6 @@ bool ShardedMempool::recently_committed(const crypto::Digest& digest) const {
   return shard.committed.count(digest) != 0;
 }
 
-bool ShardedMempool::knows(const crypto::Digest& digest) const {
-  const Shard& shard = *shards_[shard_of(digest)];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  return shard.pending.count(digest) != 0 ||
-         shard.in_flight.count(digest) != 0;
-}
-
 MempoolStats ShardedMempool::stats() const {
   MempoolStats s;
   s.accepted = accepted_.load(std::memory_order_relaxed);

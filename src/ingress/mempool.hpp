@@ -113,8 +113,6 @@ class ShardedMempool {
   void restore_in_flight(const txpool::Transaction& tx);
 
   bool recently_committed(const crypto::Digest& digest) const;
-  /// True while the digest is pending or in-flight.
-  bool knows(const crypto::Digest& digest) const;
 
   std::size_t pending() const {
     return pending_count_.load(std::memory_order_relaxed);

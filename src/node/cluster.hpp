@@ -1,9 +1,11 @@
 // n-node in-process cluster: one OS thread per node over the shared-memory
-// transport (net::InProcNetwork), with the threshold-coin trusted setup
+// transport (net::InProcNetwork), or over loopback TCP links with
+// ClusterTweaks::tcp_transport, with the threshold-coin trusted setup
 // derived from a single master seed. This is the fixture the sanitizer
-// cross-check tests and the realtime throughput bench drive; the TCP
-// equivalent is assembled by hand in examples/cluster_main.cpp because its
-// processes don't share an address space.
+// cross-check tests, the realtime throughput bench, tools/loadgen
+// --self-cluster and examples/cluster_main (inproc and tcp modes) drive;
+// only cluster_main's two-process tcp2 mode builds its nodes by hand, since
+// they don't share an address space.
 #pragma once
 
 #include <chrono>

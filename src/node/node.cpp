@@ -7,14 +7,30 @@
 
 namespace dr::node {
 
+namespace {
+
+/// Laggard-aware GC holdback: a peer heard from within this window pins the
+/// GC floor cap to just below its highest delivered round, keeping the
+/// history it may still catch-up-fetch servable (DESIGN.md §10). A peer
+/// silent for longer stops constraining the floor.
+constexpr std::uint64_t kGcPeerLivenessUs = 2'000'000;
+/// Proposed-block backlog above which the loop stops draining the mempool
+/// (blocks park in the builder queue; leaving them in the mempool instead
+/// keeps them eligible for duplicate suppression).
+constexpr std::size_t kMaxBlocksPending = 2;
+constexpr std::size_t kInboxCapacity = 1 << 16;
+/// Event-loop sleep cap when the inbox is empty.
+constexpr std::chrono::milliseconds kIdleWait{1};
+
+}  // namespace
+
 Node::Node(std::unique_ptr<net::Transport> transport,
            const coin::CoinDealer* dealer, NodeOptions opts)
     : opts_(opts),
       transport_(std::move(transport)),
-      inbox_(opts_.inbox_capacity),
+      inbox_(kInboxCapacity),
       bus_(*transport_),
       replica_(bus_, transport_->pid(), opts_, dealer, opts_.byzantine),
-      mempool_(opts_.mempool),
       epoch_(std::chrono::steady_clock::now()) {
   const ProcessId my_pid = transport_->pid();
   replica_.rider().set_deliver([this](const Bytes& block,
@@ -59,8 +75,7 @@ Node::Node(std::unique_ptr<net::Transport> transport,
         committee(), my_pid,
         storage::StoreOptions{opts_.wal_dir, opts_.wal_fsync});
   }
-  catchup_ = std::make_unique<CatchupSync>(bus_, my_pid, replica_.builder(),
-                                           opts_.catchup);
+  catchup_ = std::make_unique<CatchupSync>(bus_, my_pid, replica_.builder());
   last_heard_us_.assign(committee().n, 0);
   if (opts_.ingress_enable) {
     ingress_ = std::make_unique<ingress::IngressServer>(mempool_,
@@ -105,7 +120,7 @@ void Node::loop() {
   std::vector<net::Frame> batch;
   while (running_.load(std::memory_order_acquire)) {
     batch.clear();
-    (void)inbox_.pop_all(batch, opts_.idle_wait);  // batch itself is the result
+    (void)inbox_.pop_all(batch, kIdleWait);  // batch itself is the result
     const std::uint64_t now = now_us();
     for (const net::Frame& f : batch) {
       last_heard_us_[f.from] = now;
@@ -126,7 +141,7 @@ void Node::refresh_gc_floor_cap(std::uint64_t now) {
   // round back, weak edges a few waves); a peer silent past the liveness
   // window stops constraining, and DagBuilder::apply_gc_floor bounds the
   // total holdback so a dead peer cannot pin memory forever.
-  if (opts_.gc_depth_rounds == 0 || opts_.gc_peer_liveness_us == 0) return;
+  if (opts_.gc_depth_rounds == 0) return;
   // Every loop iteration: the scan is O(n) over counters already in cache,
   // and a stale cap lags the frontier by however long it goes unrefreshed,
   // eating into the margin below.
@@ -134,7 +149,7 @@ void Node::refresh_gc_floor_cap(std::uint64_t now) {
   Round cap = dag::kNoGcFloorCap;
   for (ProcessId p = 0; p < committee().n; ++p) {
     if (p == pid()) continue;
-    if (last_heard_us_[p] + opts_.gc_peer_liveness_us < now) continue;
+    if (last_heard_us_[p] + kGcPeerLivenessUs < now) continue;
     const Round r = replica_.builder().highest_round_from(p);
     cap = std::min(cap, r > margin ? r - margin : Round{0});
   }
@@ -234,7 +249,7 @@ void Node::maybe_compact() {
 }
 
 void Node::refill_from_mempool() {
-  while (replica_.builder().blocks_pending() < opts_.max_blocks_pending) {
+  while (replica_.builder().blocks_pending() < kMaxBlocksPending) {
     std::vector<txpool::Transaction> txs =
         mempool_.drain(opts_.block_max_txs);
     if (txs.empty()) return;

@@ -56,28 +56,12 @@ struct NodeOptions : core::ReplicaOptions {
   /// fsync per WAL append (power-failure durability; default covers process
   /// crashes only, matching the restart tests' crash model).
   bool wal_fsync = false;
-  /// Peer catch-up sync over Channel::kSync.
-  CatchupOptions catchup{};
   /// Live adversarial profile (DESIGN.md §12): kHonest runs the protocol
   /// faithfully; any other value replaces the RBC with an attacking one
   /// (core/byzantine.hpp). The crafted-SEND profiles require kBracha.
   core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
-  /// Laggard-aware GC holdback: a peer heard from within this window pins
-  /// the GC floor cap to just below its highest delivered round, keeping the
-  /// history it may still catch-up-fetch servable (DESIGN.md §10). A peer
-  /// silent for longer stops constraining the floor. 0 disables the clamp.
-  std::uint64_t gc_peer_liveness_us = 2'000'000;
   /// Transactions drained from the mempool into one proposed block.
   std::size_t block_max_txs = 256;
-  /// Proposed-block backlog above which the loop stops draining the mempool
-  /// (blocks park in the builder queue; leaving them in the mempool instead
-  /// keeps them eligible for duplicate suppression).
-  std::size_t max_blocks_pending = 2;
-  std::size_t inbox_capacity = 1 << 16;
-  /// Event-loop sleep cap when the inbox is empty.
-  std::chrono::milliseconds idle_wait{1};
-  /// Sharded mempool behind submit_tx()/the ingress tier (DESIGN.md §13).
-  ingress::MempoolOptions mempool{};
   /// Client ingress front end: when enabled, start() also opens a TCP
   /// tx-submission endpoint (ingress.port 0 = kernel-assigned, read back via
   /// ingress_port()) and a_deliver routes commit acks to client sessions.

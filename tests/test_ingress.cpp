@@ -526,6 +526,18 @@ TEST(IngressCluster, RestartedNodeDedupsCommittedAndServesFreshTxs) {
     }
     pump_until(client, [&] { return acked == kBatchB; },
                std::chrono::minutes(1));
+    // Node 1 acks on its own a_deliver; node 0 commits the same waves a
+    // moment later, so wait for it before stopping the cluster.
+    pump_until(client,
+               [&] {
+                 std::lock_guard<std::mutex> lk(tally_mu);
+                 std::uint64_t seen = 0;
+                 for (std::uint64_t i = 0; i < kBatchB; ++i) {
+                   seen += tally.count(compose_tx_id(9, i));
+                 }
+                 return seen == kBatchB;
+               },
+               std::chrono::minutes(1));
     client.close();
   }
 
@@ -605,8 +617,8 @@ TEST(IngressCluster, ResubmitAfterRestartOfMuteProposerDeliversExactlyOnce) {
                std::chrono::minutes(1));
     // Drained (in-flight), then proposed (persist-before-send ran): the
     // race precondition — on disk, in no one's DAG. The drained block sits
-    // at most max_blocks_pending (2) deep in the proposal queue, so two
-    // more logged proposals guarantee it reached the WAL.
+    // at most kMaxBlocksPending (2, node.cpp) deep in the proposal queue, so
+    // two more logged proposals guarantee it reached the WAL.
     pump_until(client,
                [&] { return cluster.node(1).mempool().in_flight() >= kProbe; },
                std::chrono::minutes(1));

@@ -87,6 +87,23 @@ Rules (each suppressible per line with `// daglint: allow(<rule>)`):
                     and the runtime on the same replica (DESIGN.md §5).
                     Exempt: the files that declare or define each name.
 
+  option-writer     Every field of a `struct *Options` / `*Params` /
+                    `*Tweaks` / `*Config` declared under src/ must be set
+                    somewhere outside its own .hpp/.cpp pair: a `.field`
+                    write (`x.f = v`, `x.f += v`, `x.f.g = v`) or a
+                    designated or positional initialiser (`{.f = v}`,
+                    `T{a, b}`) anywhere in src, bench, examples, tools,
+                    tests, fuzz or perfbench. A field only
+                    its own module ever reads has one value in use and
+                    should be a named constant in the code that reads it.
+                    Writes are attributed to a struct by the receiver's
+                    declared type where it can be read off the same file
+                    (variable declarations, field types, `T{...}`); an
+                    unresolvable receiver counts for every struct with a
+                    field of that name. Deployment addresses (`host`,
+                    `port`) are allowlisted. Runs over the tree rooted at
+                    the parent of the linted `src/` directory.
+
 Usage:
   daglint.py [--rules r1,r2] [--list-rules] PATH...
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -95,6 +112,8 @@ Exit status: 0 clean, 1 findings, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -102,6 +121,9 @@ from pathlib import Path
 CPP_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".hh"}
 
 ALLOW_RE = re.compile(r"//\s*daglint:\s*allow\(([a-z0-9_,\s-]+)\)")
+# A `'` that continues a numeric literal (100'000, 0xFF'FF) is a C++14 digit
+# separator, not the start of a char literal.
+DIGIT_SEPARATOR_RE = re.compile(r"(?<![\w'])\d[\w']*$")
 
 
 class Finding:
@@ -149,6 +171,10 @@ def strip_comments_and_strings(text: str) -> str:
             else:
                 out.append(c)
                 i += 1
+        elif c == "'" and DIGIT_SEPARATOR_RE.search(text, max(0, i - 64), i) and \
+                nxt.isalnum():  # digit separator: 100'000
+            out.append(c)
+            i += 1
         elif c == '"' or c == "'":  # string / char literal
             quote = c
             j = i + 1
@@ -165,6 +191,14 @@ def strip_comments_and_strings(text: str) -> str:
             out.append(c)
             i += 1
     return "".join(out)
+
+
+def line_allows(raw_lines: list[str], lineno: int, rule: str) -> bool:
+    """True if line `lineno` carries `// daglint: allow(<rule>)`."""
+    if lineno - 1 >= len(raw_lines):
+        return False
+    m = ALLOW_RE.search(raw_lines[lineno - 1])
+    return m is not None and rule in {r.strip() for r in m.group(1).split(",")}
 
 
 def rel(path: Path) -> str:
@@ -277,6 +311,312 @@ REPLICA_ASSEMBLY = [
      ("coin/threshold_coin.hpp", "coin/threshold_coin.cpp")),
 ]
 
+# Option structs (option-writer): the declaring struct, its base list, and
+# every enclosing class, so nested `Client::Options` keeps its qualifier.
+OPTION_STRUCT_RE = re.compile(
+    r"\bstruct\s+(\w*(?:Options|Params|Tweaks|Config))\s*(?::([^{;]*))?\{")
+CLASS_RE = re.compile(r"\b(?:struct|class)\s+(\w+)\s*(?:final\s*)?(?::[^{;]*)?\{")
+OPTION_WRITER_ROOTS = ("src", "bench", "examples", "tools", "tests", "fuzz",
+                       "perfbench")
+OPTION_WRITER_ALLOWLIST = frozenset({"host", "port"})
+# `x.f = v`, `x->f += v`, `x.f[i] = v` and designated `{.f = v}` / `{.f{v}}`;
+# `==`, `<=`, `>=` and `!=` are comparisons, not writes.
+FIELD_WRITE_RE = re.compile(
+    r"(\.|->)\s*([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?"
+    r"(?:(?:[-+*/%|&^]|<<|>>)?=(?!=)|\{)")
+ACCESS_RE = re.compile(r"^\s*(?:(?:public|private|protected)\s*:\s*)+")
+MEMBER_SKIP_RE = re.compile(
+    r"^(?:using|typedef|static|friend|enum|struct|class|template|constexpr|"
+    r"inline|virtual|explicit|operator)\b")
+NOT_A_TYPE = frozenset({"return", "case", "else", "new", "delete", "throw",
+                        "goto", "sizeof", "co_return", "co_yield"})
+
+
+class OptionStruct:
+    def __init__(self, path: Path, qual: tuple, bases: list):
+        self.path = path
+        self.qual = qual  # ("Client", "Options") for a nested struct
+        self.bases = bases
+        self.fields: dict[str, str] = {}  # name -> declared type
+        self.lines: dict[str, int] = {}
+        self.pair = {path.with_suffix(".hpp"), path.with_suffix(".cpp")}
+
+    @property
+    def name(self) -> str:
+        return "::".join(self.qual)
+
+
+def _match_brace(code: str, open_idx: int) -> int:
+    depth = 0
+    for i in range(open_idx, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(code)
+
+
+def _statements(code: str, lo: int, hi: int):
+    """(offset, text) of each top-level statement in code[lo:hi]. Brace
+    groups stay inside their statement; one not followed by `;` or `,` (a
+    function body) closes a statement of its own."""
+    out, depth, start = [], 0, lo
+    for i in range(lo, hi):
+        c = code[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                rest = code[i + 1:hi].lstrip()
+                if not rest or rest[0] not in ";,":
+                    out.append((start, code[start:i + 1]))
+                    start = i + 1
+        elif c == ";" and depth == 0:
+            out.append((start, code[start:i]))
+            start = i + 1
+    return out
+
+
+def _strip_templates(text: str) -> str:
+    out, depth = [], 0
+    for c in text:
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth = max(0, depth - 1)
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def _member(stmt: str):
+    """(name, type) of a data-member declaration; None for functions,
+    constructors, aliases and nested types."""
+    s = ACCESS_RE.sub("", stmt).strip()
+    if not s or MEMBER_SKIP_RE.match(s):
+        return None
+    # Cut the default member initialiser (`= v` or `{v}`) first: no member
+    # type spells `=` or `{`, and `1 << 16` must not reach the template strip.
+    init = re.search(r"(?<![=!<>])=(?!=)|\{", s)
+    decl = _strip_templates(s[:init.start()] if init else s)
+    name = re.search(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?$", decl)
+    if "(" in decl or not name or not decl[:name.start()].strip():
+        return None
+    return name.group(1), decl[:name.start()].strip()
+
+
+def parse_option_structs(path: Path, code: str) -> list[OptionStruct]:
+    classes = [(m.group(1), m.end() - 1, _match_brace(code, m.end() - 1))
+               for m in CLASS_RE.finditer(code)]
+    out = []
+    for m in OPTION_STRUCT_RE.finditer(code):
+        open_idx = m.end() - 1
+        close_idx = _match_brace(code, open_idx)
+        outer = tuple(name for name, lo, hi in classes
+                      if lo < open_idx and close_idx < hi)
+        bases = [re.sub(r"\b(?:public|private|protected|virtual)\b", "",
+                        b).strip() for b in (m.group(2) or "").split(",")]
+        st = OptionStruct(path, outer + (m.group(1),), [b for b in bases if b])
+        for off, stmt in _statements(code, open_idx + 1, close_idx):
+            member = _member(stmt)
+            if member is None:
+                continue
+            name, type_text = member
+            st.fields[name] = type_text
+            at = off + re.search(r"\b" + name + r"\b", stmt).start()
+            st.lines[name] = code.count("\n", 0, at) + 1
+        out.append(st)
+    return out
+
+
+class OptionIndex:
+    """Every option struct of the tree, queryable by type text."""
+
+    def __init__(self, structs: list[OptionStruct]):
+        self.structs = structs
+
+    def by_type(self, type_text: str) -> list[OptionStruct]:
+        """Option structs a (possibly qualified, cv/ref/pointer) type names."""
+        t = _strip_templates(type_text)
+        t = re.sub(r"\b(?:const|volatile|struct)\b|[&*]", " ", t).strip()
+        m = re.search(r"([A-Za-z_]\w*(?:\s*::\s*[A-Za-z_]\w*)*)$", t)
+        if not m:
+            return []
+        comps = tuple(c.strip() for c in m.group(1).split("::"))
+        return [s for s in self.structs
+                if comps[-len(s.qual):] == s.qual or
+                s.qual[-len(comps):] == comps]
+
+    def declaring(self, field: str) -> list[OptionStruct]:
+        return [s for s in self.structs if field in s.fields]
+
+    def owner(self, st: OptionStruct, field: str, seen=()):
+        """The struct in st's base chain that declares `field`, or None."""
+        if field in st.fields:
+            return st
+        for base in st.bases:
+            for b in self.by_type(base):
+                if b not in seen and b is not st:
+                    found = self.owner(b, field, seen + (st,))
+                    if found is not None:
+                        return found
+        return None
+
+    def field_types(self, field: str):
+        """Option structs that fields named `field` hold; None when no
+        option struct has such a field."""
+        decl = self.declaring(field)
+        if not decl:
+            return None
+        return [t for s in decl for t in self.by_type(s.fields[field])]
+
+
+TYPE_BEFORE_RE = re.compile(
+    r"([A-Za-z_][\w:]*(?:\s*<[^;{}]*>)?)\s*(?:const\s*)?[&*]*\s*$")
+RECEIVER_RE = re.compile(r"(\.|->)?\s*([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?$")
+
+
+@functools.lru_cache(maxsize=None)
+def _var_types(code: str, var: str):
+    """Declared type texts of `var` in this file; None if unknown/auto."""
+    types = []
+    for m in re.finditer(r"\b" + re.escape(var) + r"\b\s*[;={(,)\[]", code):
+        t = TYPE_BEFORE_RE.search(code, max(0, m.start() - 160), m.start())
+        if t is None or t.group(1) in NOT_A_TYPE or t.group(1).endswith(":"):
+            continue
+        if re.match(r"[\w:]+", t.group(1)).group(0) != "auto":
+            types.append(t.group(1))
+    return types or None
+
+
+def _receiver(index: OptionIndex, code: str, pos: int):
+    """Option structs the write at code[pos] (its `.`/`->`) may target.
+    None = unresolvable; [] = resolved to something that is no option."""
+    def of_var(var):
+        types = _var_types(code, var)
+        return None if types is None else [
+            s for t in types for s in index.by_type(t)]
+
+    before = code[max(0, pos - 200):pos].rstrip()
+    if not before.endswith(("{", ",")):  # member write: x.f, a.b.f
+        m = RECEIVER_RE.search(before)
+        if not m or m.group(2) == "this":
+            return None
+        return index.field_types(m.group(2)) if m.group(1) else of_var(m.group(2))
+    # Designated initialiser: the type is read off the enclosing brace.
+    depth = 0
+    for i in range(pos - 1, -1, -1):
+        c = code[i]
+        if c in "})":
+            depth += 1
+        elif c in "{(":
+            if depth:
+                depth -= 1
+                continue
+            if c == "(":
+                return None
+            head = code[max(0, i - 200):i].rstrip()
+            nested = re.search(r"\.\s*([A-Za-z_]\w*)\s*=?\s*$", head)
+            if nested:  # {.outer = {.f = v}}
+                return index.field_types(nested.group(1))
+            m = re.search(r"([A-Za-z_][\w:]*)\s*(?:<[^;{}]*>)?\s*"
+                          r"(?:[A-Za-z_]\w*\s*)?=?\s*$", head)
+            if not m or m.group(1) in NOT_A_TYPE:
+                return None
+            return index.by_type(m.group(1)) or of_var(m.group(1))
+    return None
+
+
+def _positional_writes(index: OptionIndex, code: str):
+    """(struct, field) set by positional aggregate init `T{a, b}` / `T x{a}`:
+    the first k fields in declaration order. Class heads and structs with
+    bases (whose first element is the base) are skipped."""
+    heads = {m.end() - 1 for m in CLASS_RE.finditer(code)}
+    for m in re.finditer(r"\b([A-Za-z_][\w:]*)\s*(?:[A-Za-z_]\w*\s*)?\{", code):
+        open_idx = m.end() - 1
+        inner = code[open_idx + 1:_match_brace(code, open_idx)].strip()
+        if open_idx in heads or not inner or inner.startswith("."):
+            continue
+        depth, args = 0, 1
+        for c in inner:
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                depth -= 1
+            elif c == "," and depth == 0:
+                args += 1
+        for st in index.by_type(m.group(1)):
+            if not st.bases:
+                for field in list(st.fields)[:args]:
+                    yield st, field
+
+
+def _member_writes(index: OptionIndex, code: str):
+    """(struct, field) set by `.f`/`->f` writes and designated initialisers;
+    `a.b.f = v` sets b as well as f."""
+    for m in FIELD_WRITE_RE.finditer(code):
+        pos, field = m.start(), m.group(2)
+        while index.declaring(field):
+            targets = _receiver(index, code, pos)
+            if targets is None:
+                for st in index.declaring(field):
+                    yield st, field
+            else:
+                for t in targets:
+                    st = index.owner(t, field)
+                    if st is not None:
+                        yield st, field
+            up = RECEIVER_RE.search(code, max(0, pos - 200), pos)
+            if not up or not up.group(1):
+                break
+            pos, field = up.start(), up.group(2)
+
+
+def check_option_writers(paths: list[Path], rules) -> list[Finding]:
+    """option-writer over the option structs declared in the linted files
+    under a `src/` directory; writes are searched in OPTION_WRITER_ROOTS
+    next to that src/."""
+    if "option-writer" not in rules:
+        return []
+    roots: dict[Path, list[Path]] = {}
+    for p in paths:
+        parts = p.resolve().parts
+        if "src" in parts:
+            idx = len(parts) - 1 - parts[::-1].index("src")
+            roots.setdefault(Path(*parts[:idx]), []).append(p.resolve())
+    findings: list[Finding] = []
+    for root, decl_files in roots.items():
+        raw = {f: f.read_text(encoding="utf-8") for f in decl_files}
+        structs = [st for f in decl_files for st in parse_option_structs(
+            f, strip_comments_and_strings(raw[f]))]
+        index = OptionIndex(structs)
+        written: set[tuple[int, str]] = set()
+        dirs = [root / d for d in OPTION_WRITER_ROOTS if (root / d).is_dir()]
+        for f in iter_sources(dirs):
+            f = f.resolve()
+            code = strip_comments_and_strings(f.read_text(encoding="utf-8"))
+            for st, field in itertools.chain(_positional_writes(index, code),
+                                             _member_writes(index, code)):
+                if f not in st.pair:
+                    written.add((id(st), field))
+        for st in structs:
+            raw_lines = raw[st.path].splitlines()
+            for field, line in st.lines.items():
+                if (field in OPTION_WRITER_ALLOWLIST or
+                        (id(st), field) in written or
+                        line_allows(raw_lines, line, "option-writer")):
+                    continue
+                findings.append(Finding(
+                    st.path, line, "option-writer",
+                    f"{st.name}::{field} is never set outside "
+                    f"{st.path.stem}.{{hpp,cpp}}; with one value in use, make "
+                    "it a named constant in the code that reads it"))
+    return findings
+
+
 SHA256_ALLOWLIST_FILE = Path(__file__).resolve().parent / "sha256_allowlist.txt"
 _sha256_allowlist_cache: list[str] | None = None
 
@@ -301,17 +641,8 @@ def check_file(path: Path, text: str, rules) -> list[Finding]:
     code = strip_comments_and_strings(text)
     code_lines = code.splitlines()
 
-    def allowed(lineno: int, rule: str) -> bool:
-        if lineno - 1 >= len(raw_lines):
-            return False
-        m = ALLOW_RE.search(raw_lines[lineno - 1])
-        if not m:
-            return False
-        allowed_rules = {r.strip() for r in m.group(1).split(",")}
-        return rule in allowed_rules
-
     def report(lineno: int, rule: str, message: str):
-        if rule in rules and not allowed(lineno, rule):
+        if rule in rules and not line_allows(raw_lines, lineno, rule):
             findings.append(Finding(path, lineno, rule, message))
 
     is_types_hpp = rel(path).endswith("common/types.hpp")
@@ -413,6 +744,7 @@ ALL_RULES = (
     "ingress-blocking",
     "chaos-seeded",
     "replica-assembly",
+    "option-writer",
 )
 
 
@@ -455,19 +787,19 @@ def main(argv=None) -> int:
             return 2
 
     findings: list[Finding] = []
-    nfiles = 0
-    for f in iter_sources(args.paths):
-        nfiles += 1
+    files = list(iter_sources(args.paths))
+    for f in files:
         try:
             text = f.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as e:
             print(f"daglint: cannot read {f}: {e}", file=sys.stderr)
             return 2
         findings.extend(check_file(f, text, rules))
+    findings.extend(check_option_writers(files, rules))
 
     for fi in findings:
         print(fi)
-    summary = f"daglint: {nfiles} files, {len(findings)} finding(s)"
+    summary = f"daglint: {len(files)} files, {len(findings)} finding(s)"
     print(summary, file=sys.stderr)
     return 1 if findings else 0
 

@@ -4,6 +4,7 @@ asserts the checker flags it (and stays quiet on the clean twin). Run via
 ctest (`daglint_selftest`) or directly: python3 tools/daglint/test_daglint.py
 """
 
+import re
 import sys
 import tempfile
 import unittest
@@ -420,6 +421,113 @@ class ReplicaAssembly(unittest.TestCase):
             "src/core/system.cpp",
             "auto r = make_ordering(k, b, c);  // daglint: allow(replica-assembly)\n")
         self.assertEqual(rules_of(findings), set())
+
+
+def lint_tree(files):
+    """Writes {relpath: code} under a temp tree and runs option-writer over
+    its src/ directory; returns the flagged `Struct::field` names."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for relpath, code in files.items():
+            f = Path(tmp) / relpath
+            f.parent.mkdir(parents=True, exist_ok=True)
+            f.write_text(code, encoding="utf-8")
+        srcs = list(daglint.iter_sources([Path(tmp) / "src"]))
+        findings = daglint.check_option_writers(srcs, {"option-writer"})
+    return {re.search(r"(\S+) is never set", f.message).group(1)
+            for f in findings}
+
+
+FOO_OPTIONS = ("struct FooOptions {\n"
+               "  std::uint64_t retry_us = 200'000;\n"
+               "  int depth = 4;\n"
+               "};\n")
+
+
+class OptionWriter(unittest.TestCase):
+    def test_unwritten_field_flagged(self):
+        flagged = lint_tree({
+            "src/foo/foo.hpp": FOO_OPTIONS,
+            "tests/test_foo.cpp": "void t() { FooOptions o; o.depth = 8; }\n"})
+        self.assertEqual(flagged, {"FooOptions::retry_us"})
+
+    def test_designated_and_positional_initialisers_count(self):
+        for code in ("auto o = FooOptions{.retry_us = 1, .depth = 2};\n",
+                     "FooOptions o{1, 2};\n",
+                     "void f() { g(FooOptions{1, 2}); }\n"):
+            with self.subTest(code=code):
+                flagged = lint_tree({"src/foo/foo.hpp": FOO_OPTIONS,
+                                     "bench/b.cpp": code})
+                self.assertEqual(flagged, set())
+
+    def test_writes_in_the_declaring_pair_do_not_count(self):
+        flagged = lint_tree({
+            "src/foo/foo.hpp": FOO_OPTIONS,
+            "src/foo/foo.cpp": "void f(FooOptions& o) { o.retry_us = 1; }\n",
+            "examples/e.cpp": "void g(FooOptions& o) { o.depth += 1; }\n"})
+        self.assertEqual(flagged, {"FooOptions::retry_us"})
+
+    def test_comparisons_are_not_writes(self):
+        flagged = lint_tree({
+            "src/foo/foo.hpp": FOO_OPTIONS,
+            "tests/t.cpp": "bool f(FooOptions o) {\n"
+                           "  return o.depth == 1 || o.retry_us <= 2 ||\n"
+                           "         o.depth >= 3 || o.retry_us != 4;\n"
+                           "}\n"})
+        self.assertEqual(flagged, {"FooOptions::retry_us", "FooOptions::depth"})
+
+    def test_receiver_type_separates_same_named_fields(self):
+        # Client::Options::max_out_frames is written; ServerOptions' is not.
+        flagged = lint_tree({
+            "src/net/server.hpp":
+                "struct ServerOptions {\n  std::size_t max_out_frames = 1024;\n};\n",
+            "src/net/client.hpp":
+                "class Client {\n public:\n  struct Options {\n"
+                "    std::size_t max_out_frames = 256;\n  };\n};\n",
+            "perfbench/p.cpp":
+                "void f() {\n  net::Client::Options co;\n"
+                "  co.max_out_frames = 1 << 16;\n}\n"})
+        self.assertEqual(flagged, {"ServerOptions::max_out_frames"})
+
+    def test_nested_write_sets_the_outer_field_and_base_fields_resolve(self):
+        flagged = lint_tree({
+            "src/core/base.hpp":
+                "struct BaseOptions {\n  std::uint64_t seed = 1;\n};\n",
+            "src/node/node.hpp":
+                "struct NodeOptions : core::BaseOptions {\n"
+                "  FooOptions foo{};\n  bool unused = false;\n};\n",
+            "src/foo/foo.hpp": FOO_OPTIONS,
+            "tests/t.cpp":
+                "void f() {\n  node::NodeOptions o;\n  o.seed = 2;\n"
+                "  o.foo.depth = 3;\n  o.foo.retry_us = 4;\n}\n"})
+        self.assertEqual(flagged, {"NodeOptions::unused"})
+
+    def test_deployment_addresses_allowlisted_and_allow_comment(self):
+        flagged = lint_tree({"src/net/srv.hpp":
+                             "struct SrvConfig {\n"
+                             "  std::string host = \"127.0.0.1\";\n"
+                             "  std::uint16_t port = 0;\n"
+                             "  int backlog = 8;  // daglint: allow(option-writer)\n"
+                             "};\n"})
+        self.assertEqual(flagged, set())
+
+    def test_functions_aliases_and_other_structs_ignored(self):
+        flagged = lint_tree({"src/foo/foo.hpp":
+                             "struct FooParams {\n"
+                             "  using Fn = std::function<void(int)>;\n"
+                             "  FooParams() : Base{.x = 1} {}\n"
+                             "  int twice() const { return 2; }\n"
+                             "  static constexpr int kMax = 3;\n"
+                             "};\n"
+                             "struct FooStats {\n  int hits = 0;\n};\n"})
+        self.assertEqual(flagged, set())
+
+    def test_header_outside_src_not_scanned(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "tests" / "util.hpp"
+            f.parent.mkdir(parents=True)
+            f.write_text(FOO_OPTIONS, encoding="utf-8")
+            self.assertEqual(
+                daglint.check_option_writers([f], {"option-writer"}), [])
 
 
 class StripComments(unittest.TestCase):
