@@ -9,48 +9,23 @@ namespace {
 
 double commit_latency(std::uint32_t n, std::uint64_t seed, bool crash_f,
                       bool adversarial) {
-  core::SystemConfig cfg;
-  cfg.committee = Committee::for_n(n);
-  cfg.seed = seed;
-  cfg.rbc_kind = rbc::RbcKind::kBracha;
-  cfg.builder.auto_blocks = true;
-  cfg.builder.auto_block_size = 32;
+  const std::uint32_t f = Committee::for_n(n).f;
+  std::unique_ptr<sim::DelayModel> delays;
   if (adversarial) {
-    cfg.delays = std::make_unique<sim::RotatingDelay>(
-        n, cfg.committee.f, /*period=*/300, /*fast=*/30, /*slow=*/330);
+    delays = std::make_unique<sim::RotatingDelay>(
+        n, f, /*period=*/300, /*fast=*/30, /*slow=*/330);
   }
+  std::vector<core::FaultKind> faults;
   if (crash_f) {
-    cfg.faults.assign(n, core::FaultKind::kNone);
-    for (std::uint32_t i = 0; i < cfg.committee.f; ++i) {
-      cfg.faults[n - 1 - i] = core::FaultKind::kCrash;
+    faults.assign(n, core::FaultKind::kNone);
+    for (std::uint32_t i = 0; i < f; ++i) {
+      faults[n - 1 - i] = core::FaultKind::kCrash;
     }
   }
-  const DagRiderRun r = [&] {
-    core::System sys(std::move(cfg));
-    sys.start();
-    DagRiderRun out;
-    const sim::SimTime unit = sys.network().max_delay();
-    auto all_committed = [&sys](std::uint64_t k) {
-      for (ProcessId p : sys.correct_ids()) {
-        if (sys.node(p).commits().size() < k) return false;
-      }
-      return true;
-    };
-    if (!sys.simulator().run_until([&] { return all_committed(1); },
-                                   100'000'000)) {
-      return out;
-    }
-    const sim::SimTime t0 = sys.simulator().now();
-    if (!sys.simulator().run_until([&] { return all_committed(6); },
-                                   400'000'000)) {
-      return out;
-    }
-    out.time_units_per_commit =
-        static_cast<double>(sys.simulator().now() - t0) / 5.0 /
-        static_cast<double>(unit);
-    out.ok = true;
-    return out;
-  }();
+  const DagRiderRun r =
+      run_dag_rider(n, rbc::RbcKind::kBracha, seed, 1, 32, 5,
+                    core::CoinMode::kThreshold, std::move(delays),
+                    std::move(faults));
   return r.ok ? r.time_units_per_commit : -1;
 }
 

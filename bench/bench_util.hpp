@@ -167,13 +167,15 @@ struct DagRiderRun {
 /// of `value_size` bytes each, until `target_commits` leader commits land at
 /// every correct process. Communication is measured after a warmup of one
 /// committed wave so setup costs do not pollute the amortized figures.
+/// `faults` is SystemConfig::faults (empty: every process correct).
 inline DagRiderRun run_dag_rider(std::uint32_t n, rbc::RbcKind kind,
                                  std::uint64_t seed,
                                  std::uint32_t values_per_block,
                                  std::size_t value_size,
                                  std::uint64_t target_commits = 6,
                                  core::CoinMode coin = core::CoinMode::kThreshold,
-                                 std::unique_ptr<sim::DelayModel> delays = nullptr) {
+                                 std::unique_ptr<sim::DelayModel> delays = nullptr,
+                                 std::vector<core::FaultKind> faults = {}) {
   core::SystemConfig cfg;
   cfg.committee = Committee::for_n(n);
   cfg.seed = seed;
@@ -183,6 +185,7 @@ inline DagRiderRun run_dag_rider(std::uint32_t n, rbc::RbcKind kind,
   cfg.builder.auto_block_size =
       static_cast<std::size_t>(values_per_block) * value_size;
   if (delays) cfg.delays = std::move(delays);
+  cfg.faults = std::move(faults);
   core::System sys(std::move(cfg));
   sys.start();
 

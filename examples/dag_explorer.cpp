@@ -6,15 +6,20 @@
 //
 //   usage: dag_explorer [seed] [waves]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
+#include "cli_args.hpp"
 #include "core/system.hpp"
 
 int main(int argc, char** argv) {
   using namespace dr;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
-  const Wave waves = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 6;
+  std::uint64_t seed = 7;
+  Wave waves = 6;
+  if (argc > 3 || (argc > 1 && !examples::parse_unsigned(argv[1], seed)) ||
+      (argc > 2 && (!examples::parse_unsigned(argv[2], waves) || waves == 0))) {
+    std::fprintf(stderr, "usage: dag_explorer [seed] [waves >= 1]\n");
+    return 2;
+  }
 
   core::SystemConfig cfg;
   cfg.committee = Committee::for_f(1);

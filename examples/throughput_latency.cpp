@@ -4,9 +4,10 @@
 // through app::ReplicatedService; blocks carry real batches instead of
 // synthetic filler. Reports end-to-end (submit -> a_deliver) latency
 // percentiles and committed throughput for each reliable-broadcast
-// instantiation at several committee sizes.
+// instantiation at several committee sizes. Exits 1 if a row stalls or its
+// replicas disagree, 2 on a bad argument.
 //
-//   usage: throughput_latency [tx_per_tick]
+//   usage: throughput_latency [tx_per_tick]   (a positive rate; default 0.2)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +16,7 @@
 
 #include "app/kvstore.hpp"
 #include "app/replicated.hpp"
+#include "cli_args.hpp"
 #include "metrics/table.hpp"
 
 namespace {
@@ -59,10 +61,16 @@ class PoissonClients {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double rate = argc > 1 ? std::atof(argv[1]) : 0.2;
+  double rate = 0.2;
+  if (argc > 2 ||
+      (argc == 2 && !examples::parse_positive_double(argv[1], rate))) {
+    std::fprintf(stderr, "usage: throughput_latency [tx_per_tick > 0]\n");
+    return 2;
+  }
 
   metrics::Table table({"rbc", "n", "committed tx", "tx/1k-ticks",
                         "latency p50", "latency p95", "bytes/tx"});
+  bool failed = false;
 
   for (rbc::RbcKind kind :
        {rbc::RbcKind::kBracha, rbc::RbcKind::kAvid, rbc::RbcKind::kGossip}) {
@@ -84,8 +92,10 @@ int main(int argc, char** argv) {
 
       const bool ok = sys.simulator().run_until(
           [&] { return svc.committed() >= 400; }, 100'000'000);
-      if (!ok) {
-        table.add_row({rbc::to_string(kind), std::to_string(n), "stalled"});
+      if (!ok || !svc.replicas_consistent()) {
+        table.add_row({rbc::to_string(kind), std::to_string(n),
+                       ok ? "replicas diverged" : "stalled"});
+        failed = true;
         continue;
       }
       const double elapsed = static_cast<double>(sys.simulator().now());
@@ -109,5 +119,5 @@ int main(int argc, char** argv) {
       "\nNotes: latency in simulator ticks (uniform link delay 1-100).\n"
       "AVID's erasure coding pays off in bytes/tx as n grows; gossip trades\n"
       "deterministic guarantees for the lowest byte cost.\n");
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -10,7 +10,7 @@ ReplicatedService::ReplicatedService(core::System& sys, MachineFactory factory,
   DR_ASSERT_MSG(!correct_.empty(), "ReplicatedService needs a correct process");
   for (ProcessId p = 0; p < sys_.n(); ++p) {
     machines_.push_back(factory());
-    pools_.push_back(std::make_unique<ingress::ShardedMempool>());
+    pools_.push_back(std::make_unique<ingress::Mempool>());
   }
   for (ProcessId p : correct_) {
     sys_.node(p).set_app_deliver(

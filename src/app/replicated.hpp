@@ -1,6 +1,6 @@
 // ReplicatedService: the simulator's client shell. Glues a core::System to
 // per-replica state machines via the transaction layer: commands submitted
-// at any replica flow through that replica's ingress::ShardedMempool -> BAB
+// at any replica flow through that replica's ingress::Mempool -> BAB
 // -> deterministic execution; digests audit replica agreement, and the first
 // correct replica measures submit -> first-delivery latency.
 #pragma once
@@ -36,7 +36,7 @@ class ReplicatedService {
 
   StateMachine& machine(ProcessId p) { return *machines_[p]; }
   const StateMachine& machine(ProcessId p) const { return *machines_[p]; }
-  const ingress::ShardedMempool& mempool(ProcessId p) const {
+  const ingress::Mempool& mempool(ProcessId p) const {
     return *pools_[p];
   }
 
@@ -63,7 +63,7 @@ class ReplicatedService {
   std::size_t batch_max_;
   sim::SimTime pump_every_;
   std::vector<std::unique_ptr<StateMachine>> machines_;
-  std::vector<std::unique_ptr<ingress::ShardedMempool>> pools_;
+  std::vector<std::unique_ptr<ingress::Mempool>> pools_;
   std::vector<ProcessId> correct_;
   std::set<crypto::Digest> committed_;
   metrics::Summary latency_;

@@ -114,8 +114,8 @@ struct LoadGen::Driver {
         case SubmitStatus::kDuplicateCommitted:
           ++report.dup_committed;
           break;
-        case SubmitStatus::kShardFull:
-          ++report.shard_full;
+        case SubmitStatus::kPoolFull:
+          ++report.pool_full;
           break;
         case SubmitStatus::kTooLarge:
           ++report.too_large;

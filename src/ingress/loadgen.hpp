@@ -63,7 +63,7 @@ struct LoadGenReport {
   std::uint64_t busy = 0;
   std::uint64_t dup_pending = 0;
   std::uint64_t dup_committed = 0;
-  std::uint64_t shard_full = 0;
+  std::uint64_t pool_full = 0;
   std::uint64_t too_large = 0;
   std::uint64_t acked = 0;
   std::uint64_t resubmitted = 0;

@@ -1,7 +1,8 @@
 // TCP tx-submission front end (DESIGN.md §13). One poll()-driven I/O thread
 // owns every client session: it accepts connections, runs the hello
-// exchange, decodes SubmitBatch frames, pushes transactions into the
-// ShardedMempool with their origin attached, answers with per-tx
+// exchange, decodes SubmitBatch frames, pushes transactions into the node's
+// Mempool with their origin attached (the I/O thread is the mempool's one
+// submitter; the node thread is its one drainer), answers with per-tx
 // SubmitReply verdicts, and flushes CommitAcks queued by the node thread's
 // a_deliver path back to the owning session.
 //
@@ -14,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,19 +61,11 @@ struct ServerOptions {
 
 class IngressServer {
  public:
-  IngressServer(ShardedMempool& mempool, ServerOptions opts);
+  IngressServer(Mempool& mempool, ServerOptions opts);
   ~IngressServer();
 
   IngressServer(const IngressServer&) = delete;
   IngressServer& operator=(const IngressServer&) = delete;
-
-  /// Extra admission signal beyond the mempool watermark (the node wires
-  /// its DagBuilder backlog in here). Called on the I/O thread per batch;
-  /// returning true turns every tx of the batch into kBusy. Set before
-  /// start().
-  void set_busy_hook(std::function<bool()> hook) {
-    busy_hook_ = std::move(hook);
-  }
 
   bool start();
   void stop();
@@ -106,9 +98,8 @@ class IngressServer {
   void flush_out(Session& s);
   void close_session(std::size_t idx);
 
-  ShardedMempool& mempool_;
+  Mempool& mempool_;
   ServerOptions opts_;
-  std::function<bool()> busy_hook_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -136,7 +127,6 @@ class IngressServer {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> batches_rx_{0};
   std::atomic<std::uint64_t> txs_rx_{0};
-  std::atomic<std::uint64_t> busy_hook_rejects_{0};
   std::atomic<std::uint64_t> acks_enqueued_{0};
   std::atomic<std::uint64_t> acks_sent_{0};
   std::atomic<std::uint64_t> acks_dropped_{0};

@@ -2,18 +2,6 @@
 
 namespace dr::ingress {
 
-const char* to_string(SubmitStatus s) {
-  switch (s) {
-    case SubmitStatus::kAccepted: return "accepted";
-    case SubmitStatus::kBusy: return "busy";
-    case SubmitStatus::kDuplicatePending: return "dup-pending";
-    case SubmitStatus::kDuplicateCommitted: return "dup-committed";
-    case SubmitStatus::kShardFull: return "shard-full";
-    case SubmitStatus::kTooLarge: return "too-large";
-  }
-  return "unknown";
-}
-
 Bytes encode_client_hello(const ClientHello& hello) {
   ByteWriter w(kClientHelloBytes);
   w.u32(hello.magic);

@@ -7,11 +7,11 @@
 // including this node's own broadcasts looping back, is dispatched on the
 // node thread from the inbox. Thread-safety exists only at the boundaries:
 // the net::Inbox (transport/link threads push, node thread drains), the
-// sharded mempool's per-shard locks (client/ingress threads submit, node
-// thread drains), the ingress server's ack queue (node thread enqueues, the
-// ingress I/O thread flushes), and the delivered/commit log mutex (node
-// thread appends, observers snapshot). Nothing inside rbc/, dag/, or core/
-// ever sees two threads.
+// mempool's one lock (one submitter — the ingress I/O thread or the
+// submit_tx caller — and the node thread draining), the ingress server's ack
+// queue (node thread enqueues, the ingress I/O thread flushes), and the
+// delivered/commit log mutex (node thread appends, observers snapshot).
+// Nothing inside rbc/, dag/, or core/ ever sees two threads.
 #pragma once
 
 #include <atomic>
@@ -148,7 +148,7 @@ class Node {
   /// is a duplicate or client-facing backpressure.
   ingress::SubmitStatus submit_tx(txpool::Transaction tx);
 
-  ingress::ShardedMempool& mempool() { return mempool_; }
+  ingress::Mempool& mempool() { return mempool_; }
   /// Non-null iff opts.ingress_enable; the TCP port is assigned in start().
   ingress::IngressServer* ingress() { return ingress_.get(); }
   std::uint16_t ingress_port() const {
@@ -219,7 +219,7 @@ class Node {
   /// now_us() of the last frame received from each peer (node thread only).
   std::vector<std::uint64_t> last_heard_us_;
 
-  ingress::ShardedMempool mempool_;
+  ingress::Mempool mempool_;
   std::unique_ptr<ingress::IngressServer> ingress_;
 
   mutable std::mutex log_mu_;

@@ -1,11 +1,13 @@
 // Client ingress tier tests (DESIGN.md §13): tx digest identity, the wire
-// codec's defensive parsing, the sharded mempool's admission pipeline
-// (dedup, backpressure, commit window, origin re-homing), the TCP
-// server/client pair end to end, commit acks through a live cluster, the
-// kill-restart dedup contract after WAL recovery, the seeded ingress soak,
-// and a loadgen smoke with thousands of logical clients.
+// codec's defensive parsing, the mempool's admission pipeline (dedup,
+// backpressure, commit window, origin re-homing, FIFO drain under a
+// concurrent submitter), the TCP server/client pair end to end, commit acks
+// through a live cluster, the kill-restart dedup contract after WAL
+// recovery, the seeded ingress soak, and a loadgen smoke with thousands of
+// logical clients.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -133,11 +135,11 @@ TEST(IngressWire, MessageRoundTrips) {
   SubmitReply reply;
   reply.client_id = 5;
   reply.entries.push_back(ReplyEntry{1, SubmitStatus::kAccepted});
-  reply.entries.push_back(ReplyEntry{2, SubmitStatus::kShardFull});
+  reply.entries.push_back(ReplyEntry{2, SubmitStatus::kPoolFull});
   const auto r = decode_ingress_message(BytesView(encode_submit_reply(reply)));
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().reply.has_value());
-  EXPECT_EQ(r.value().reply->entries[1].status, SubmitStatus::kShardFull);
+  EXPECT_EQ(r.value().reply->entries[1].status, SubmitStatus::kPoolFull);
 
   CommitAcks acks;
   acks.acks.push_back(AckEntry{5, 1, 1234});
@@ -177,12 +179,11 @@ TEST(IngressWire, MessageRejectsMalformedInput) {
   EXPECT_FALSE(decode_ingress_message(BytesView(renc)).ok());
 }
 
-// --- sharded mempool admission pipeline ---
+// --- mempool admission pipeline ---
 
-TEST(ShardedMempool, DedupAcrossShardsAndLifecycle) {
-  ShardedMempool pool(MempoolOptions{.shards = 4});
-  // A spread of txs lands on every shard; resubmitting any of them dedups
-  // no matter which shard owns the digest.
+TEST(Mempool, DedupAndLifecycle) {
+  Mempool pool;
+  // Resubmitting any pending tx dedups by digest.
   for (std::uint64_t i = 0; i < 64; ++i) {
     EXPECT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
     EXPECT_EQ(pool.submit(make_tx(1, i), TxOrigin{}),
@@ -207,8 +208,8 @@ TEST(ShardedMempool, DedupAcrossShardsAndLifecycle) {
   EXPECT_TRUE(pool.recently_committed(tx_digest(make_tx(1, 0))));
 }
 
-TEST(ShardedMempool, ReturnsOriginOnCommitAndRehomesOnResubmit) {
-  ShardedMempool pool(MempoolOptions{.shards = 2});
+TEST(Mempool, ReturnsOriginOnCommitAndRehomesOnResubmit) {
+  Mempool pool;
   TxOrigin origin{.session_id = 10, .client_id = 3, .tx_id = 9,
                   .submit_us = 100};
   ASSERT_EQ(pool.submit(make_tx(3, 9), origin), SubmitStatus::kAccepted);
@@ -229,79 +230,140 @@ TEST(ShardedMempool, ReturnsOriginOnCommitAndRehomesOnResubmit) {
   EXPECT_FALSE(pool.mark_committed(tx_digest(make_tx(3, 9))).has_value());
 }
 
-TEST(ShardedMempool, BusyWatermarkThenShardCapacity) {
+TEST(Mempool, BusyWatermarkThenCapacity) {
   MempoolOptions opts;
-  opts.shards = 2;
-  opts.shard_capacity = 64;
+  opts.capacity = 128;
   opts.busy_watermark = 0.5;  // busy at 64 pending
-  ShardedMempool pool(opts);
+  Mempool pool(opts);
 
-  std::uint64_t accepted = 0, id = 0;
-  while (accepted < 64) {
-    if (pool.submit(make_tx(1, id++), TxOrigin{}) == SubmitStatus::kAccepted) {
-      ++accepted;
-    }
+  std::uint64_t id = 0;
+  for (; id < 64; ++id) {
+    ASSERT_EQ(pool.submit(make_tx(1, id), TxOrigin{}),
+              SubmitStatus::kAccepted);
   }
   EXPECT_EQ(pool.submit(make_tx(1, id), TxOrigin{}), SubmitStatus::kBusy);
   EXPECT_TRUE(pool.busy());
   EXPECT_GE(pool.stats().rejected_busy, 1u);
 
-  // The hard per-shard bound is kShardFull, distinguishable from kBusy:
-  // reachable with a watermark above 1.0 (disabled) and a tiny shard.
+  // The hard bound is kPoolFull, distinguishable from kBusy: reachable with
+  // a watermark above 1.0 (disabled) and a tiny pool.
   MempoolOptions tiny;
-  tiny.shards = 1;
-  tiny.shard_capacity = 4;
+  tiny.capacity = 4;
   tiny.busy_watermark = 10.0;
-  ShardedMempool small(tiny);
+  Mempool small(tiny);
   for (std::uint64_t i = 0; i < 4; ++i) {
     ASSERT_EQ(small.submit(make_tx(2, i), TxOrigin{}),
               SubmitStatus::kAccepted);
   }
   EXPECT_EQ(small.submit(make_tx(2, 99), TxOrigin{}),
-            SubmitStatus::kShardFull);
+            SubmitStatus::kPoolFull);
 }
 
-TEST(ShardedMempool, RejectsOversizedAndBoundsCommittedWindow) {
+TEST(Mempool, RejectsOversizedAndBoundsCommittedWindow) {
   MempoolOptions opts;
-  opts.shards = 1;
   opts.max_tx_bytes = 32;
   opts.committed_window = 8;
-  ShardedMempool pool(opts);
+  Mempool pool(opts);
 
   EXPECT_EQ(pool.submit(make_tx(1, 0, 0xab, 33), TxOrigin{}),
             SubmitStatus::kTooLarge);
 
   // Push far more commits through than the window holds: the oldest digests
-  // are evicted and a very late replay is re-accepted (the documented bound).
+  // are evicted in commit order and a very late replay is re-accepted (the
+  // documented bound).
   for (std::uint64_t i = 0; i < 32; ++i) {
     ASSERT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
     (void)pool.drain(1);
     (void)pool.mark_committed(tx_digest(make_tx(1, i)));
   }
-  EXPECT_GE(pool.stats().window_evictions, 24u);
+  EXPECT_EQ(pool.stats().window_evictions, 24u);
   EXPECT_FALSE(pool.recently_committed(tx_digest(make_tx(1, 0))));
+  EXPECT_FALSE(pool.recently_committed(tx_digest(make_tx(1, 23))));
+  EXPECT_TRUE(pool.recently_committed(tx_digest(make_tx(1, 24))));
   EXPECT_TRUE(pool.recently_committed(tx_digest(make_tx(1, 31))));
   EXPECT_EQ(pool.submit(make_tx(1, 0), TxOrigin{}), SubmitStatus::kAccepted);
 }
 
-TEST(ShardedMempool, DrainIsRoundRobinAndBounded) {
-  ShardedMempool pool(MempoolOptions{.shards = 4});
+TEST(Mempool, DrainIsFifoAndBounded) {
+  Mempool pool;
+  std::vector<std::uint64_t> submitted;
   for (std::uint64_t i = 0; i < 100; ++i) {
     ASSERT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
+    submitted.push_back(make_tx(1, i).id);
   }
-  std::size_t total = 0;
+  std::vector<std::uint64_t> drained;
   while (true) {
     const auto got = pool.drain(7);
     EXPECT_LE(got.size(), 7u);
     if (got.empty()) break;
-    total += got.size();
+    for (const auto& tx : got) drained.push_back(tx.id);
   }
-  EXPECT_EQ(total, 100u);
+  // 100 distinct digests come out in exactly the order they went in.
+  EXPECT_EQ(drained, submitted);
   EXPECT_EQ(pool.in_flight(), 100u);
 }
 
+TEST(Mempool, ConcurrentSubmitAndDrainLoseNothing) {
+  // The node's traffic: one submitter thread, one drainer thread that
+  // drains blocks and marks every drained tx committed.
+  constexpr std::uint64_t kTxs = 10'000;
+  Mempool pool;
+  std::atomic<bool> submitting{true};
+  std::uint64_t accepted = 0, rejected = 0;
+  std::thread submitter([&] {
+    for (std::uint64_t i = 0; i < kTxs; ++i) {
+      if (pool.submit(make_tx(1, i), TxOrigin{}) == SubmitStatus::kAccepted) {
+        ++accepted;
+      }
+      // Resubmit a recent tx: pending, in flight or committed by now, so it
+      // must never be accepted twice.
+      if (i >= 5 && i % 10 == 0 &&
+          pool.submit(make_tx(1, i - 5), TxOrigin{}) !=
+              SubmitStatus::kAccepted) {
+        ++rejected;
+      }
+    }
+    submitting.store(false, std::memory_order_release);
+  });
+
+  std::unordered_map<std::uint64_t, std::uint64_t> commits;
+  std::vector<std::uint64_t> order;
+  while (true) {
+    // Read `submitting` first: once it is false every submit has landed.
+    // pending() is polled on every pass, while the submitter runs, as
+    // perfbench polls it on a live node.
+    const bool submitter_done = !submitting.load(std::memory_order_acquire);
+    const bool empty = pool.pending() == 0;
+    if (submitter_done && empty) break;
+    const auto block = pool.drain(64);
+    if (block.empty()) std::this_thread::yield();
+    for (const auto& tx : block) {
+      order.push_back(tx.id);
+      EXPECT_FALSE(pool.mark_committed(tx_digest(tx)).has_value());
+      ++commits[tx.id];
+    }
+  }
+  submitter.join();
+
+  EXPECT_EQ(accepted, kTxs);
+  EXPECT_EQ(rejected, kTxs / 10 - 1);
+  ASSERT_EQ(order.size(), kTxs);
+  for (std::uint64_t i = 0; i < kTxs; ++i) {
+    EXPECT_EQ(order[i], make_tx(1, i).id) << "drain order broken at " << i;
+    EXPECT_EQ(commits[make_tx(1, i).id], 1u);
+  }
+  EXPECT_EQ(pool.pending() + pool.in_flight(), 0u);
+  const MempoolStats st = pool.stats();
+  EXPECT_EQ(st.accepted, kTxs);
+  EXPECT_EQ(st.drained, kTxs);
+  EXPECT_EQ(st.committed_foreign, kTxs);
+  EXPECT_EQ(st.committed_with_origin, 0u);
+  EXPECT_EQ(st.rejected_dup_pending + st.rejected_dup_committed, rejected);
+  EXPECT_EQ(st.rejected_busy + st.rejected_overflow, 0u);
+}
+
 TEST(Mempool, DeliveredTransactionsAreNotReproposed) {
-  ShardedMempool pool(MempoolOptions{.shards = 1});  // one shard: FIFO drain
+  Mempool pool;
   for (std::uint64_t i = 1; i <= 6; ++i) {
     ASSERT_EQ(pool.submit(make_tx(1, i), TxOrigin{}), SubmitStatus::kAccepted);
   }
@@ -319,7 +381,7 @@ TEST(Mempool, DeliveredTransactionsAreNotReproposed) {
 }
 
 TEST(Mempool, EmptyPoolYieldsEmptyBlock) {
-  ShardedMempool pool(MempoolOptions{.shards = 4});
+  Mempool pool;
   EXPECT_TRUE(pool.drain(5).empty());
   ASSERT_EQ(pool.submit(make_tx(1, 1), TxOrigin{}), SubmitStatus::kAccepted);
   (void)pool.mark_committed(tx_digest(make_tx(1, 1)));
@@ -330,7 +392,7 @@ TEST(Mempool, EmptyPoolYieldsEmptyBlock) {
 // --- server + client end to end (standalone, no consensus) ---
 
 TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
-  ShardedMempool pool;
+  Mempool pool;
   IngressServer server(pool, ServerOptions{});
   ASSERT_TRUE(server.start());
   ASSERT_NE(server.port(), 0);
@@ -378,28 +440,35 @@ TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
   server.stop();
 }
 
-TEST(IngressServer, BusyHookTurnsBatchesAway) {
-  ShardedMempool pool;
+TEST(IngressServer, FullPoolRepliesBusyOverTheWire) {
+  MempoolOptions opts;
+  opts.capacity = 4;
+  opts.busy_watermark = 0.5;  // busy at 2 pending
+  Mempool pool(opts);
   IngressServer server(pool, ServerOptions{});
-  server.set_busy_hook([] { return true; });  // DagBuilder "very behind"
   ASSERT_TRUE(server.start());
 
   Client client(Client::Options{"127.0.0.1", server.port(), 256});
   ASSERT_TRUE(client.connect(2'000));
-  std::uint64_t busy = 0;
-  client.on_reply = [&](std::uint64_t, std::uint64_t, SubmitStatus status) {
-    if (status == SubmitStatus::kBusy) ++busy;
-  };
-  ASSERT_TRUE(client.submit(1, 1, BytesView(loadgen_payload(1, 1, 32))));
-  pump_until(client, [&] { return busy == 1; }, std::chrono::seconds(5));
-  EXPECT_EQ(pool.pending(), 0u);
+  std::unordered_map<std::uint64_t, SubmitStatus> replies;
+  client.on_reply = [&](std::uint64_t, std::uint64_t tx_id,
+                        SubmitStatus status) { replies[tx_id] = status; };
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(client.submit(1, i, BytesView(loadgen_payload(1, i, 32))));
+  }
+  pump_until(client, [&] { return replies.size() == 3; },
+             std::chrono::seconds(5));
+  EXPECT_EQ(replies[1], SubmitStatus::kAccepted);
+  EXPECT_EQ(replies[2], SubmitStatus::kAccepted);
+  EXPECT_EQ(replies[3], SubmitStatus::kBusy);
+  EXPECT_EQ(pool.pending(), 2u);
 
   client.close();
   server.stop();
 }
 
 TEST(IngressServer, RejectsOverCapacitySessionsWithFullHello) {
-  ShardedMempool pool;
+  Mempool pool;
   ServerOptions opts;
   opts.max_sessions = 1;
   IngressServer server(pool, opts);

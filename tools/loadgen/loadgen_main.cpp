@@ -22,10 +22,10 @@
 // 1 otherwise — so CI smoke invocations fail loudly on a dead ingress path.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/audit.hpp"
 #include "ingress/loadgen.hpp"
 #include "node/cluster.hpp"
@@ -38,7 +38,7 @@ struct Args {
   dr::ingress::LoadGenOptions gen;
 };
 
-void usage_and_exit(const char* msg) {
+[[noreturn]] void usage_and_exit(const char* msg) {
   std::fprintf(stderr, "loadgen: %s\n", msg);
   std::fprintf(stderr,
                "usage: loadgen (--targets h:p[,h:p...] | --self-cluster N)\n"
@@ -57,14 +57,13 @@ std::vector<dr::ingress::LoadGenTarget> parse_targets(const char* arg) {
     if (comma == std::string::npos) comma = spec.size();
     const std::string item = spec.substr(pos, comma - pos);
     const std::size_t colon = item.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= item.size()) {
+    dr::ingress::LoadGenTarget t;
+    if (colon == std::string::npos ||
+        !dr::examples::parse_unsigned(item.c_str() + colon + 1, t.port)) {
       usage_and_exit("targets must be host:port[,host:port...]");
     }
-    dr::ingress::LoadGenTarget t;
-    t.host = item.substr(0, colon);
-    t.port = static_cast<std::uint16_t>(
-        std::strtoul(item.c_str() + colon + 1, nullptr, 10));
     if (t.port == 0) usage_and_exit("target port must be non-zero");
+    t.host = item.substr(0, colon);
     out.push_back(std::move(t));
     pos = comma + 1;
   }
@@ -72,41 +71,49 @@ std::vector<dr::ingress::LoadGenTarget> parse_targets(const char* arg) {
 }
 
 Args parse(int argc, char** argv) {
+  using dr::examples::parse_nonnegative_double;
+  using dr::examples::parse_positive_double;
+  using dr::examples::parse_unsigned;
   Args a;
   a.gen.duration_ms = 5'000;
   for (int i = 1; i < argc; ++i) {
-    auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) usage_and_exit(flag);
-      return argv[++i];
+    const std::string k = argv[i];
+    auto next = [&]() -> const char* {
+      return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (!std::strcmp(argv[i], "--targets")) {
-      a.targets = parse_targets(need("--targets needs host:port list"));
-    } else if (!std::strcmp(argv[i], "--self-cluster")) {
-      a.self_cluster_n = static_cast<std::uint32_t>(
-          std::strtoul(need("--self-cluster needs N"), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--clients")) {
-      a.gen.clients = std::strtoull(need("--clients needs K"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--connections")) {
-      a.gen.connections = static_cast<std::size_t>(
-          std::strtoull(need("--connections needs C"), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--rate")) {
-      a.gen.rate_tps = std::strtod(need("--rate needs TPS"), nullptr);
-    } else if (!std::strcmp(argv[i], "--duration")) {
-      a.gen.duration_ms =
-          std::strtoull(need("--duration needs MS"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--payload")) {
-      a.gen.payload_bytes = static_cast<std::size_t>(
-          std::strtoull(need("--payload needs BYTES"), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--zipf")) {
-      a.gen.zipf_s = std::strtod(need("--zipf needs S"), nullptr);
-    } else if (!std::strcmp(argv[i], "--churn")) {
-      a.gen.churn_period_ms =
-          std::strtoull(need("--churn needs MS"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      a.gen.seed = std::strtoull(need("--seed needs S"), nullptr, 10);
+    bool ok = true;
+    if (k == "--targets") {
+      const char* v = next();
+      ok = v != nullptr;
+      if (ok) a.targets = parse_targets(v);
+    } else if (k == "--self-cluster") {
+      ok = parse_unsigned(next(), a.self_cluster_n) && a.self_cluster_n != 0;
+    } else if (k == "--clients") {
+      ok = parse_unsigned(next(), a.gen.clients);
+    } else if (k == "--connections") {
+      ok = parse_unsigned(next(), a.gen.connections);
+    } else if (k == "--rate") {
+      ok = parse_positive_double(next(), a.gen.rate_tps);
+    } else if (k == "--duration") {
+      ok = parse_unsigned(next(), a.gen.duration_ms);
+    } else if (k == "--payload") {
+      // Only this CLI sets payload_bytes and zipf_s: assign them plainly so
+      // daglint's option-writer rule sees the write.
+      std::size_t bytes = 0;
+      ok = parse_unsigned(next(), bytes);
+      a.gen.payload_bytes = bytes;
+    } else if (k == "--zipf") {
+      double zipf = 0.0;  // 0 = uniform
+      ok = parse_nonnegative_double(next(), zipf);
+      a.gen.zipf_s = zipf;
+    } else if (k == "--churn") {
+      ok = parse_unsigned(next(), a.gen.churn_period_ms);
+    } else if (k == "--seed") {
+      ok = parse_unsigned(next(), a.gen.seed);
     } else {
-      usage_and_exit("unknown argument");
+      usage_and_exit(("unknown argument " + k).c_str());
     }
+    if (!ok) usage_and_exit(("bad or missing value for " + k).c_str());
   }
   if (a.targets.empty() == (a.self_cluster_n == 0)) {
     usage_and_exit("pick exactly one of --targets / --self-cluster");
@@ -137,8 +144,8 @@ void print_report(const dr::ingress::LoadGenReport& r,
               static_cast<unsigned long long>(r.dup_pending));
   std::printf("  dup commit   %12llu\n",
               static_cast<unsigned long long>(r.dup_committed));
-  std::printf("  shard full   %12llu\n",
-              static_cast<unsigned long long>(r.shard_full));
+  std::printf("  pool full    %12llu\n",
+              static_cast<unsigned long long>(r.pool_full));
   std::printf("  resubmitted  %12llu\n",
               static_cast<unsigned long long>(r.resubmitted));
   std::printf("  local b.p.   %12llu\n",
