@@ -22,19 +22,14 @@ inline const std::vector<std::uint32_t> kSweepN = {4, 7, 10, 13, 16};
 /// Command line shared by every bench binary:
 ///   --json <path>   additionally write every emitted table as one JSON doc
 ///   --smoke         cut sweeps/workloads down to a CI-sized smoke run
-///   --wal <dir>     nodes of the threaded runtime write WALs under <dir>
-///                   (cleared per configuration), measuring the
-///                   append+flush overhead (bench_realtime_throughput)
 ///   --help          print this usage and exit 0 without running anything
 struct BenchArgs {
   std::string json_path;
-  std::string wal_dir;
   bool smoke = false;
 };
 
 inline void print_bench_usage(std::FILE* to, const char* prog) {
-  std::fprintf(to, "usage: %s [--smoke] [--json <path>] [--wal <dir>] [--help]\n",
-               prog);
+  std::fprintf(to, "usage: %s [--smoke] [--json <path>] [--help]\n", prog);
 }
 
 /// Rejects an unknown flag or a flag missing its value with usage on stderr
@@ -59,8 +54,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       std::exit(0);
     } else if (a == "--json") {
       out.json_path = value_of(i);
-    } else if (a == "--wal") {
-      out.wal_dir = value_of(i);
     } else if (a == "--smoke") {
       out.smoke = true;
     } else {
@@ -82,7 +75,6 @@ class BenchIo {
 
   void init(int argc, char** argv) { args_ = parse_bench_args(argc, argv); }
   bool smoke() const { return args_.smoke; }
-  const std::string& wal_dir() const { return args_.wal_dir; }
   void section(std::string id) { section_ = std::move(id); }
 
   void emit(const metrics::Table& t) {
@@ -143,9 +135,6 @@ inline void bench_finish() {
   if (!BenchIo::instance().flush()) std::exit(1);
 }
 inline bool smoke() { return BenchIo::instance().smoke(); }
-inline const std::string& bench_wal_dir() {
-  return BenchIo::instance().wal_dir();
-}
 inline void emit(const metrics::Table& t) { BenchIo::instance().emit(t); }
 
 /// kSweepN, trimmed in smoke mode.

@@ -6,8 +6,8 @@
 #   --smoke    CI-sized run: benches trim their sweeps/workloads (the same
 #              flag every bench binary accepts individually).
 #
-# bench_realtime_throughput runs in the bench loop like the others; its JSON
-# carries the ordering head-to-head, the chaos faults and the restart table.
+# The threaded runtime's performance is measured by perfbench
+# (python3 perfbench/run.py), not by this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

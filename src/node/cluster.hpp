@@ -2,7 +2,7 @@
 // transport (net::InProcNetwork), or over loopback TCP links with
 // ClusterTweaks::tcp_transport, with the threshold-coin trusted setup
 // derived from a single master seed. This is the fixture the sanitizer
-// cross-check tests, the realtime throughput bench, tools/loadgen
+// cross-check tests, perfbench's in-process workload, tools/loadgen
 // --self-cluster and examples/cluster_main (inproc and tcp modes) drive;
 // only cluster_main's two-process tcp2 mode builds its nodes by hand, since
 // they don't share an address space.

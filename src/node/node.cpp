@@ -18,6 +18,8 @@ constexpr std::uint64_t kGcPeerLivenessUs = 2'000'000;
 /// (blocks park in the builder queue; leaving them in the mempool instead
 /// keeps them eligible for duplicate suppression).
 constexpr std::size_t kMaxBlocksPending = 2;
+/// Transactions drained from the mempool into one proposed block.
+constexpr std::size_t kBlockMaxTxs = 256;
 constexpr std::size_t kInboxCapacity = 1 << 16;
 /// Event-loop sleep cap when the inbox is empty.
 constexpr std::chrono::milliseconds kIdleWait{1};
@@ -250,8 +252,7 @@ void Node::maybe_compact() {
 
 void Node::refill_from_mempool() {
   while (replica_.builder().blocks_pending() < kMaxBlocksPending) {
-    std::vector<txpool::Transaction> txs =
-        mempool_.drain(opts_.block_max_txs);
+    std::vector<txpool::Transaction> txs = mempool_.drain(kBlockMaxTxs);
     if (txs.empty()) return;
     replica_.rider().a_bcast(txpool::encode_block(txs));
   }

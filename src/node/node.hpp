@@ -60,8 +60,6 @@ struct NodeOptions : core::ReplicaOptions {
   /// faithfully; any other value replaces the RBC with an attacking one
   /// (core/byzantine.hpp). The crafted-SEND profiles require kBracha.
   core::ByzantineProfile byzantine = core::ByzantineProfile::kHonest;
-  /// Transactions drained from the mempool into one proposed block.
-  std::size_t block_max_txs = 256;
   /// Client ingress front end: when enabled, start() also opens a TCP
   /// tx-submission endpoint (ingress.port 0 = kernel-assigned, read back via
   /// ingress_port()) and a_deliver routes commit acks to client sessions.

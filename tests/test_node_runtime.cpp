@@ -22,11 +22,17 @@ namespace {
 
 constexpr std::uint64_t kTxTarget = 10'000;
 
-TEST(NodeRuntime, FourNodeClusterCommitsTenThousandTxs) {
+// Both ordering personalities share the DAG layer, runtime and transport,
+// so each must commit the same client load under the same auditors.
+class NodeRuntimeOrdering
+    : public ::testing::TestWithParam<core::OrderingKind> {};
+
+TEST_P(NodeRuntimeOrdering, FourNodeClusterCommitsTenThousandTxs) {
   const Committee committee = Committee::for_f(1);
   NodeOptions opts;
   opts.seed = 42;
   opts.coin_mode = core::CoinMode::kPiggyback;
+  opts.ordering = GetParam();
   Cluster cluster(committee, opts);
 
   // Per-node count of client transactions observed in a_delivered blocks.
@@ -87,6 +93,13 @@ TEST(NodeRuntime, FourNodeClusterCommitsTenThousandTxs) {
     EXPECT_GE(log.size(), committee.n * 4u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Orderings, NodeRuntimeOrdering,
+                         ::testing::Values(core::OrderingKind::kDagRider,
+                                           core::OrderingKind::kBullshark),
+                         [](const auto& info) {
+                           return std::string(core::to_string(info.param));
+                         });
 
 TEST(NodeRuntime, ThresholdCoinOnWireAlsoAgrees) {
   // Same cluster but with coin shares broadcast on the dedicated channel
